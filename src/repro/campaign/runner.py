@@ -11,17 +11,20 @@ the host allows:
   longest-processing-time shape that lets the scheduler's first-fit
   backfill keep the rank budget saturated instead of stranding a wide job
   behind a drained budget.
-- **Dataset pre-warming.**  Identical inputs are generated once per
+- **Dataset pre-warming.**  When jobs run in this process (one-CPU
+  hosts, custom executors), identical inputs are generated once per
   (app, scale, seed) group *before* jobs race: the process-wide dataset
   memos (:func:`repro.data.points.clustered_points`) generate outside
   their lock, so N cold concurrent jobs would otherwise each pay the
-  generation.
+  generation.  Pooled jobs run one at a time per worker, each worker
+  filling its own memo, so the parent skips the pre-warm.
 - **Deduplicated execution.**  Points with equal content hashes execute
   once; every row still reports.
-- **Warm pools and backends.**  ``backend: "auto"`` campaigns run on the
-  process backend on multi-core hosts (the spec hash never sees the
-  backend, so cached results stay shared), and all jobs reuse the
-  process-wide warm rank/worker pools.
+- **Job-level parallelism on a warm pool.**  Jobs run as a whole on the
+  process-wide :mod:`~repro.serve.jobpool` of worker processes, and
+  ``backend: "auto"`` puts their ranks on threads inside the workers, so
+  rank-level pools are never nested in job workers (the spec hash never
+  sees the backend, so cached results stay shared).
 - **Persistence.**  With a :class:`~repro.serve.store.ResultStore`
   attached, completed points land on disk; a repeated or extended
   campaign re-executes only new points — a warm re-run completes with
@@ -219,19 +222,21 @@ class CampaignRunner:
             if h not in by_hash:
                 by_hash[h] = i
                 submit_idx.append(i)
-        warmed = prewarm_datasets([specs[i] for i in submit_idx])
         scheduler = JobScheduler(
             self.executor,
             rank_budget=self.rank_budget,
             cache=ResultCache(self.cache_size, store=self.store),
         )
+        warmed = 0 if scheduler.pooled else prewarm_datasets([specs[i] for i in submit_idx])
+        deadline = time.monotonic() + self.timeout  # one budget for the sweep
         try:
             outcomes = scheduler.submit_many([specs[i] for i in submit_idx])
             jobs: dict[str, Any] = {}  # spec hash -> Job | error entry
             for i, outcome in zip(submit_idx, outcomes):
                 h = specs[i].content_hash()
                 if outcome["ok"]:
-                    jobs[h] = scheduler.wait(outcome["job"].id, timeout=self.timeout)
+                    left = max(0.0, deadline - time.monotonic())
+                    jobs[h] = scheduler.wait(outcome["job"].id, timeout=left)
                 else:
                     jobs[h] = outcome["error"]
             rows = []

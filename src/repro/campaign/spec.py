@@ -36,16 +36,17 @@ Axes multiply (the cartesian product, in the fixed axis order above);
 product can't express.  The ``seed`` axis writes each app's ``seed``
 config field; ``fault_plan`` entries are
 :meth:`~repro.faults.plan.FaultPlan.to_dict` documents or ``null``.
-``backend: "auto"`` resolves to the process backend on multi-core hosts
-(wall-clock throughput; virtual makespans are backend-invariant and the
-backend never enters a spec's content hash).
+``backend: "auto"`` resolves to the threads backend: campaign jobs get
+their parallelism from the job service's pool of worker processes, one
+whole job per worker, so rank-level worker pools are never nested inside
+them (virtual makespans are backend-invariant and the backend never
+enters a spec's content hash).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -68,10 +69,8 @@ _AXIS_DEFAULTS: dict[str, tuple] = {
 
 
 def resolve_campaign_backend(backend: str | None) -> str | None:
-    """``"auto"`` -> processes on multi-core hosts, engine default else."""
-    if backend != "auto":
-        return backend
-    return "processes" if (os.cpu_count() or 1) > 1 else None
+    """``"auto"`` -> threads: job workers, not rank workers, use the cores."""
+    return "threads" if backend == "auto" else backend
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,8 @@ class CampaignSpec:
             the place for fields that only exist on one app's config).
         options: App ``run()`` keyword options applied to every point.
         app_options: Per-app option overrides (layered over ``options``).
-        backend: ``"auto"`` (processes on multi-core hosts), an explicit
-            backend name, or ``None`` to honour the environment.
+        backend: ``"auto"`` (threads, see :func:`resolve_campaign_backend`),
+            an explicit backend name, or ``None`` to honour the environment.
         workers: Process-backend worker count override.
         trace: Record every job (utilization / critical-path columns in
             the run table at the cost of per-job tracing overhead).

@@ -17,6 +17,8 @@ Pieces:
   are shared by every process pointed at the same directory.
 - :class:`~repro.serve.scheduler.JobScheduler` — priority queues,
   per-job rank budgets, admission control, concurrent execution.
+- :mod:`~repro.serve.jobpool` — the warm pool of worker processes that
+  runs each job as a whole, its ranks on threads.
 - :class:`~repro.serve.server.JobServer` — the localhost HTTP API.
 - :class:`~repro.serve.client.ServeClient` — the stdlib client the CLI
   and batch drivers use.

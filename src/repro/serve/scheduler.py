@@ -31,21 +31,37 @@ The scheduler owns the server's concurrency policy:
   or admission error) without failing the rest of the batch — the
   round-trip shape campaigns need.
 
-Execution itself is delegated to an ``executor`` callable (by default
-:func:`repro.serve.spec.execute_job`); each admitted job runs on its own
-daemon thread, which is safe because :func:`~repro.sim.engine.spmd_run` is
-re-entrant — concurrent runs only share lock-protected pools.
+- **Job lifecycle timings.**  Every executed job records its queue wait
+  (submission to dispatch), its execution wall (measured where it ran)
+  and the seconds its result took to write through the cache and store.
+  They appear in :meth:`Job.describe` and, as medians, under ``stats()``
+  -> ``"lifecycle"``; they never enter the result payload, so stored
+  entries stay byte-identical.
+
+Execution: by default each dispatched job runs as a whole in the
+process-wide warm :mod:`~repro.serve.jobpool` of worker processes, its
+ranks on threads there; a completion callback settles the job and writes
+its result through the cache in this process.  On a one-CPU host, or with
+a custom ``executor`` callable (tests), each job runs in-process on its
+own daemon thread instead, which is safe because
+:func:`~repro.sim.engine.spmd_run` is re-entrant — concurrent runs only
+share lock-protected pools.  Either way a job holds its ranks from
+dispatch to completion, so the rank budget bounds jobs in flight.
 """
 
 from __future__ import annotations
 
+import functools
+import statistics
 import threading
 import time
 import uuid
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.serve.cache import ResultCache
+from repro.serve.jobpool import RemoteJobError, job_pool, run_job
 from repro.serve.spec import JobSpec, execute_job
 from repro.util.errors import ValidationError
 
@@ -74,6 +90,10 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
     passed_over: int = 0  # dispatches that jumped this job while queued
+    # Lifecycle timings of an executed job (None for cache hits).
+    queue_wait_s: float | None = None  # submission to dispatch
+    exec_s: float | None = None  # execution wall, where the job ran
+    store_put_s: float | None = None  # result write-through to cache and store
 
     @property
     def ranks(self) -> int:
@@ -93,6 +113,9 @@ class Job:
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
+            "queue_wait_s": self.queue_wait_s,
+            "exec_s": self.exec_s,
+            "store_put_s": self.store_put_s,
         }
         if with_spec:
             out["spec"] = self.spec.to_dict()
@@ -101,8 +124,15 @@ class Job:
         return out
 
 
+def _error_text(exc: BaseException) -> str:
+    """``"Type: message"``, as the job saw it wherever it ran."""
+    if isinstance(exc, RemoteJobError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 class JobScheduler:
-    """Run jobs concurrently off the shared rank pools, within a budget."""
+    """Run jobs concurrently on the warm job pool, within a rank budget."""
 
     def __init__(
         self,
@@ -125,7 +155,9 @@ class JobScheduler:
         self.max_queued = max_queued
         self.starvation_limit = starvation_limit
         self.cache = cache if cache is not None else ResultCache()
-        self._executor = executor if executor is not None else execute_job
+        self._executor = executor
+        # None: jobs run in-process (custom executor, or a one-CPU host).
+        self._pool = job_pool() if executor is None else None
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
         self._queue: list[Job] = []  # queued jobs, submission order
@@ -162,6 +194,8 @@ class JobScheduler:
                 f"{self.rank_budget}; it can never be scheduled"
             )
         spec_hash = spec.content_hash()
+        # Outside the lock: a store fall-through is a disk read.
+        cached = self.cache.get(spec_hash)
         with self._cond:
             if self._shutdown:
                 raise AdmissionError("scheduler is shut down")
@@ -172,7 +206,6 @@ class JobScheduler:
                 spec_hash=spec_hash,
                 seq=self._seq,
             )
-            cached = self.cache.get(spec_hash)
             if cached is not None:
                 now = time.time()
                 job.state = "done"
@@ -255,31 +288,76 @@ class JobScheduler:
                 self._queue.remove(job)
                 job.state = "running"
                 job.started_at = time.time()
+                job.queue_wait_s = job.started_at - job.submitted_at
                 self._change_ranks_locked(job.ranks)
-            threading.Thread(
-                target=self._run_job, args=(job,), name=f"serve-{job.id}", daemon=True
-            ).start()
+            self._launch(job)
 
-    def _run_job(self, job: Job) -> None:
+    @property
+    def pooled(self) -> bool:
+        """Whether jobs run on the process-wide job pool (else in-process)."""
+        return self._pool is not None
+
+    def _launch(self, job: Job) -> None:
+        if self._pool is None:
+            threading.Thread(
+                target=self._run_inline, args=(job,), name=f"serve-{job.id}", daemon=True
+            ).start()
+            return
         try:
-            result = self._executor(job.spec)
+            future = self._pool.submit(run_job, job.spec)
+        except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable spec
+            self._finish(job, error=_error_text(exc))
+            return
+        future.add_done_callback(functools.partial(self._pooled_done, job))
+
+    def _run_inline(self, job: Job) -> None:
+        executor = self._executor if self._executor is not None else execute_job
+        t0 = time.perf_counter()
+        try:
+            result = executor(job.spec)
         except BaseException as exc:  # noqa: BLE001 - job failures are data
-            with self._cond:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._change_ranks_locked(-job.ranks)
-                self._executed += 1
-                self._cond.notify_all()
+            self._finish(job, error=_error_text(exc))
         else:
-            self.cache.put(job.spec_hash, result)
-            with self._cond:
+            self._finish(job, result=result, exec_s=time.perf_counter() - t0)
+
+    def _pooled_done(self, job: Job, future: Future) -> None:
+        try:
+            result, exec_s = future.result()
+        except Exception as exc:  # noqa: BLE001 - job failures are data
+            self._finish(job, error=_error_text(exc))
+        else:
+            self._finish(job, result=result, exec_s=exec_s)
+
+    def _finish(
+        self,
+        job: Job,
+        *,
+        result: dict[str, Any] | None = None,
+        exec_s: float | None = None,
+        error: str | None = None,
+    ) -> None:
+        """Settle a running job: write its result through, free its ranks."""
+        put_s = None
+        if error is None:
+            t0 = time.perf_counter()
+            try:
+                self.cache.put(job.spec_hash, result)
+            except Exception as exc:  # noqa: BLE001 - a failed write fails the job
+                error = f"result write failed: {_error_text(exc)}"
+            put_s = time.perf_counter() - t0
+        with self._cond:
+            job.exec_s = exec_s
+            if error is None:
                 job.result = result
+                job.store_put_s = put_s
                 job.state = "done"
-                job.finished_at = time.time()
-                self._change_ranks_locked(-job.ranks)
-                self._executed += 1
-                self._cond.notify_all()
+            else:
+                job.error = error
+                job.state = "failed"
+            job.finished_at = time.time()
+            self._change_ranks_locked(-job.ranks)
+            self._executed += 1
+            self._cond.notify_all()
 
     # -- queries ----------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -348,6 +426,7 @@ class JobScheduler:
                         (j.passed_over for j in self._queue), default=0
                     ),
                 },
+                "lifecycle": self._lifecycle_locked(),
                 "utilization": {
                     "ranks_in_use": self._ranks_in_use,
                     "rank_budget": self.rank_budget,
@@ -358,15 +437,26 @@ class JobScheduler:
                 },
             }
         counters["cache"] = self.cache.stats()
+        counters["job_pool"] = None if self._pool is None else self._pool.stats()
         counters["rank_pool"] = rank_pool_stats()
         counters["engine"] = active_run_stats()
         return counters
+
+    def _lifecycle_locked(self) -> dict[str, Any]:
+        """Medians of the executed jobs' lifecycle timings."""
+        done = [j for j in self._jobs.values() if j.state == "done" and not j.cached]
+        p50 = {}
+        for name in ("queue_wait_s", "exec_s", "store_put_s"):
+            values = [getattr(j, name) for j in done]
+            p50[name] = statistics.median(values) if values else None
+        return {"jobs": len(done), "p50": p50}
 
     def shutdown(self, *, wait_running: float = 0.0) -> None:
         """Stop dispatching; queued jobs are cancelled.
 
         ``wait_running`` gives in-flight jobs that many wall-clock seconds
-        to finish (they run on daemon threads either way).
+        to finish (they keep running on the job pool or on daemon threads
+        either way; the job pool itself is process-wide and stays warm).
         """
         with self._cond:
             self._shutdown = True

@@ -75,6 +75,17 @@ def partition_ranks(nranks: int, nworkers: int) -> list[range]:
     return blocks
 
 
+def worker_context() -> Any:
+    """The multiprocessing context every worker pool starts processes from.
+
+    Never ``fork``: the parent runs rank and job threads, and forking a
+    multithreaded process can deadlock the child.  forkserver (cheap,
+    Linux) falls back to spawn elsewhere.
+    """
+    methods = mp.get_all_start_methods()
+    return mp.get_context("forkserver" if "forkserver" in methods else "spawn")
+
+
 def _worker_entry(conn: Connection, slot: int) -> None:  # pragma: no cover
     """Top-level process target (picklable by reference under spawn)."""
     from repro.sim.procworker import worker_main
@@ -104,7 +115,6 @@ class _ProcessWorkerPool:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._workers: list[_WorkerHandle] = []
-        self._ctx: Any = None
         self._next_run_id = 1
         self._next_slot = 0
         self.spawned = 0
@@ -112,19 +122,8 @@ class _ProcessWorkerPool:
         self.runs = 0
 
     # -- lifecycle -----------------------------------------------------
-    def _context(self) -> Any:
-        if self._ctx is None:
-            # Never ``fork``: the parent runs rank threads, and forking a
-            # multithreaded process can deadlock the child.  forkserver
-            # (cheap, Linux) falls back to spawn elsewhere.
-            methods = mp.get_all_start_methods()
-            self._ctx = mp.get_context(
-                "forkserver" if "forkserver" in methods else "spawn"
-            )
-        return self._ctx
-
     def _spawn(self) -> _WorkerHandle:
-        ctx = self._context()
+        ctx = worker_context()
         parent_conn, child_conn = ctx.Pipe()
         slot = self._next_slot
         self._next_slot += 1
@@ -379,9 +378,21 @@ def process_pool_stats() -> dict[str, int]:
     return _pool.stats()
 
 
+#: Stop functions of the other process-wide worker pools (the job
+#: service's job pool registers one); :func:`shutdown_pool` runs them too.
+_other_pools: list[Callable[[], None]] = []
+
+
+def register_pool_shutdown(stop: Callable[[], None]) -> None:
+    """Have :func:`shutdown_pool` also call ``stop``."""
+    _other_pools.append(stop)
+
+
 def shutdown_pool() -> None:
-    """Stop all pooled workers (test hook)."""
+    """Stop all pooled workers, rank-level and registered (test hook)."""
     _pool.shutdown()
+    for stop in _other_pools:
+        stop()
 
 
 def spmd_run_processes(

@@ -6,6 +6,7 @@ store completes with **zero** executions.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -136,6 +137,27 @@ def test_failed_points_reported_not_fatal(tmp_path):
     assert all("boom" in r["error"] for r in failed)
     done = [r for r in result.rows if r["state"] == "done"]
     assert {r["app"] for r in done} == {"heat3d"}
+
+
+def test_timeout_bounds_the_whole_sweep():
+    # Three serialized jobs of ~0.35 s each: every single job finishes
+    # within 0.5 s, the sweep does not.
+    gate = threading.Event()
+
+    def executor(spec):
+        gate.wait(0.35)
+        return {"makespan": 1.0}
+
+    campaign = _campaign(axes={"app": ["heat3d"], "preset": "laptop", "nodes": [1],
+                               "seed": [0, 1, 2]}, app_params={})
+    runner = CampaignRunner(campaign, executor=executor, rank_budget=1, timeout=0.5)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            runner.run()
+    finally:
+        gate.set()
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_empty_campaign_rejected():

@@ -130,14 +130,11 @@ def test_roundtrip_and_load(tmp_path):
         CampaignSpec.load(tmp_path / "missing.json")
 
 
-def test_auto_backend_resolution(monkeypatch):
-    import repro.campaign.spec as cspec
-
-    monkeypatch.setattr(cspec.os, "cpu_count", lambda: 8)
-    assert resolve_campaign_backend("auto") == "processes"
-    monkeypatch.setattr(cspec.os, "cpu_count", lambda: 1)
-    assert resolve_campaign_backend("auto") is None
+def test_auto_backend_resolution():
+    # Job workers carry the parallelism; their ranks always run on threads.
+    assert resolve_campaign_backend("auto") == "threads"
     assert resolve_campaign_backend("threads") == "threads"
+    assert resolve_campaign_backend("processes") == "processes"
     assert resolve_campaign_backend(None) is None
 
 

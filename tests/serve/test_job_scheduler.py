@@ -212,6 +212,34 @@ def test_shutdown_cancels_queue():
     scheduler.wait(running.id, timeout=10.0)
 
 
+def test_slow_cache_lookup_does_not_block_the_scheduler():
+    """A submission's cache lookup (a disk read on a store fall-through)
+    runs outside the scheduler lock: stats() and wait() stay responsive."""
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowCache(ResultCache):
+        def get(self, key):
+            entered.set()
+            release.wait(10.0)
+            return super().get(key)
+
+    scheduler = JobScheduler(lambda spec: {"makespan": 1.0}, rank_budget=4,
+                             cache=SlowCache(8))
+    try:
+        submitter = threading.Thread(target=scheduler.submit, args=(_spec(1),))
+        submitter.start()
+        assert entered.wait(5.0)
+        t0 = time.monotonic()
+        assert scheduler.stats()["jobs"] == 0
+        assert time.monotonic() - t0 < 1.0
+        release.set()
+        submitter.join(5.0)
+        assert scheduler.stats()["jobs"] == 1
+    finally:
+        release.set()
+        scheduler.shutdown()
+
+
 def test_constructor_validation():
     with pytest.raises(ValidationError):
         JobScheduler(lambda spec: {}, rank_budget=0)
