@@ -36,6 +36,7 @@ import argparse
 import json
 import platform
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -138,17 +139,15 @@ def _best_of(repeats: int, fn):
     return best, result
 
 
-def bench_apps(cfg: dict) -> dict:
-    """Time the five paper apps' full functional executions."""
+APPS = {"kmeans": kmeans, "sobel": sobel, "heat3d": heat3d, "minimd": minimd, "moldyn": moldyn}
+
+
+def bench_apps(cfg: dict, names: tuple[str, ...] = tuple(APPS)) -> dict:
+    """Time the paper apps' full functional executions (all five by default)."""
     cluster = ohio_cluster(cfg["nodes"])
     cases = {}
-    for name, mod in [
-        ("kmeans", kmeans),
-        ("sobel", sobel),
-        ("heat3d", heat3d),
-        ("minimd", minimd),
-        ("moldyn", moldyn),
-    ]:
+    for name in names:
+        mod = APPS[name]
         wall, run = _best_of(cfg["repeats"], lambda m=mod, n=name: m.run(cluster, cfg[n]))
         cases[name] = {"wall_s": round(wall, 4), "makespan": run.makespan}
     return cases
@@ -614,7 +613,24 @@ def _git_rev() -> str:
 _OBS_OVERHEAD_THRESHOLD = 0.05
 
 
-def compare(record: dict, baseline_path: Path, threshold: float) -> int:
+def load_baseline(path: Path) -> dict:
+    """Read a baseline record, or raise ``ValueError`` naming the problem.
+
+    Called before any case runs, so a wrong ``--baseline`` path fails in
+    a second instead of after the whole collection.
+    """
+    try:
+        baseline = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"baseline {path} is not valid JSON: {exc}") from None
+    if not isinstance(baseline, dict) or not isinstance(baseline.get("cases"), dict):
+        raise ValueError(f"baseline {path} has no 'cases' object")
+    return baseline
+
+
+def compare(record: dict, baseline: dict, threshold: float) -> int:
     """Fail (non-zero) on wall-clock regression beyond ``threshold``.
 
     Virtual makespans must match the baseline exactly — any drift means an
@@ -623,7 +639,6 @@ def compare(record: dict, baseline_path: Path, threshold: float) -> int:
     instrumented run at within 5% of the uninstrumented one (measured
     within this run, so the gate needs no baseline entry).
     """
-    baseline = json.loads(baseline_path.read_text())
     base_cases = baseline["cases"]
     failures = []
     base_git = baseline.get("git", "unknown")
@@ -697,7 +712,7 @@ def compare(record: dict, baseline_path: Path, threshold: float) -> int:
     return 1 if failures else 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--mode", choices=["smoke", "full"], default="smoke")
     ap.add_argument("--out", type=Path, default=None, help="write the JSON record here")
@@ -707,14 +722,21 @@ def main() -> int:
     ap.add_argument(
         "--threshold", type=float, default=0.25, help="allowed fractional wall-clock regression"
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = load_baseline(args.baseline)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     record = collect(args.mode)
     print(json.dumps(record, indent=2))
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
-    if args.baseline:
-        return compare(record, args.baseline, args.threshold)
+    if baseline is not None:
+        return compare(record, baseline, args.threshold)
     return 0
 
 

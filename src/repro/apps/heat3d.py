@@ -196,59 +196,31 @@ def rank_program(
             "time_block": st.time_block,
         }
 
+    # Advance whole blocks (the checkpoint unit too, so snapshots land on
+    # block boundaries) and spread each block's elapsed time evenly over
+    # its sweeps — the total is exact and the last entry is the steady
+    # per-sweep rate, so extrapolate_steps keeps its meaning.  At k=1 a
+    # block is one step.
     step_times: list[float] = []
     k = st.time_block
-    if k > 1:
-        # Blocked loop: advance whole temporal blocks (the checkpoint
-        # unit too, so snapshots land on block boundaries) and spread
-        # each block's elapsed time evenly over its sweeps — the total
-        # is exact and the last entry is the steady per-sweep rate, so
-        # extrapolate_steps keeps its meaning.
-        n_blocks = -(-config.simulated_steps // k)
+    n_blocks = -(-config.simulated_steps // k)
 
-        def one_block(b: int) -> None:
-            t0 = ctx.clock.now
-            sweeps = min(k, config.simulated_steps - b * k)
-            st.run(sweeps)
-            dt = (ctx.clock.now - t0) / sweeps
-            step_times.extend([dt] * sweeps)
-
-        if checkpoint_every is not None:
-            from repro.core.checkpoint import CheckpointManager
-
-            mgr = CheckpointManager(ctx, every=checkpoint_every)
-            mgr.run_iterations(n_blocks, one_block, st.snapshot_state, st.restore_state)
-            recoveries = mgr.recoveries
-        else:
-            for b in range(n_blocks):
-                one_block(b)
-        grid = st.gather_global()
-        env.finalize()
-        if reliable:
-            ctx.comm.flush()
-        return {
-            "steps": step_times,
-            "grid": grid,
-            "recoveries": recoveries,
-            "time_block": k,
-        }
-
-    def one_step(_it: int) -> None:
+    def one_block(b: int) -> None:
         t0 = ctx.clock.now
-        st.step()
-        step_times.append(ctx.clock.now - t0)
+        sweeps = min(k, config.simulated_steps - b * k)
+        st.run(sweeps)
+        dt = (ctx.clock.now - t0) / sweeps
+        step_times.extend([dt] * sweeps)
 
     if checkpoint_every is not None:
         from repro.core.checkpoint import CheckpointManager
 
         mgr = CheckpointManager(ctx, every=checkpoint_every)
-        mgr.run_iterations(
-            config.simulated_steps, one_step, st.snapshot_state, st.restore_state
-        )
+        mgr.run_iterations(n_blocks, one_block, st.snapshot_state, st.restore_state)
         recoveries = mgr.recoveries
     else:
-        for it in range(config.simulated_steps):
-            one_step(it)
+        for b in range(n_blocks):
+            one_block(b)
     grid = st.gather_global()
     env.finalize()
     if reliable:

@@ -184,20 +184,12 @@ class CheckpointManager:
         """
         if iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {iterations}")
-        ckpt = self._take(0, capture)
-        executions = 0
-        it = 0
-        while it < iterations:
-            crashed, crash, restart_cost = self._poll_crash()
-            if crashed:
-                it = self._recover(ckpt, crash, restart_cost, restore)
-                continue
+
+        def body(it: int) -> bool:
             step(it)
-            executions += 1
-            it += 1
-            if it % self.every == 0 and it < iterations:
-                ckpt = self._take(it, capture)
-        return executions
+            return False
+
+        return self.run_convergence(iterations, body, capture, restore)
 
     def run_convergence(
         self,
@@ -208,9 +200,10 @@ class CheckpointManager:
     ) -> int:
         """Run ``body(i)`` until it returns True or ``max_iters``, with recovery.
 
-        The convergence-loop twin of :meth:`run_iterations`: ``body``
-        performs one iteration and reports whether the loop should stop
-        (e.g. the residual dropped below tolerance).  ``capture`` must
+        :meth:`run_iterations` runs this loop with a body that never
+        stops.  ``body`` performs one iteration and reports whether the
+        loop should stop (e.g. the residual dropped below tolerance).
+        ``capture`` must
         include whatever the convergence test depends on — iteration
         counters, residual histories, kernel parameters — so that a
         rollback replays the loop identically (``body`` decisions are

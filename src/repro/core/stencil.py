@@ -58,7 +58,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cluster.topology import dims_create
+from repro.cluster.topology import coords_of, dims_create
 from repro.comm.cart import CartComm
 from repro.comm.coalesce import HaloCoalescer
 from repro.comm.constants import PROC_NULL
@@ -152,6 +152,8 @@ class StencilRuntime:
         #: Cumulative model-scale ghost-zone recomputation (flops), for
         #: the ``halo.redundant_flops`` gauge.
         self._redundant_flops = 0.0
+        #: Block plans by (sweeps, device split); see :meth:`_block_plan`.
+        self._plans: dict[tuple, tuple] = {}
 
     # -- configuration ---------------------------------------------------
     def configure(
@@ -330,6 +332,7 @@ class StencilRuntime:
         self._prestarted = None
         self._xchg_parity = 1
         self._redundant_flops = 0.0
+        self._plans = {}
         self._configured = True
         if env.trace.enabled:
             env.trace.gauge("stencil.time_block", float(self._time_block))
@@ -384,42 +387,62 @@ class StencilRuntime:
         feasible ``k`` and keeps the argmin; ties break toward smaller
         ``k``, and ``k=1`` is always a candidate, so the choice is never
         worse than the unblocked baseline under its own model.
+
+        Both ends of every halo message must use the same strip depth,
+        so the choice cannot be per rank: each rank evaluates the model
+        for *every* position of the decomposition (its extents, its open
+        sides, its link classes; the device team is taken to be this
+        rank's on all ranks) and keeps the ``k`` minimizing the slowest
+        position's cost, within the smallest position's feasible range.
+        That is a pure function of the configuration, so all ranks agree
+        without communicating.
         """
         env = self.env
         h = self._kernel.halo
-        kmax = MAX_AUTO_TIME_BLOCK
-        has_neighbor = False
-        for ax, ext in enumerate(self.local_shape):
-            lo, hi = self._neighbors[ax]
-            if lo == PROC_NULL and hi == PROC_NULL:
-                continue
-            has_neighbor = True
-            kmax = min(kmax, ext // (2 * h))
-        if not has_neighbor or kmax <= 1:
-            return 1
-        # One (α, bytes, 1/bw) entry per halo message of one exchange
-        # round.  Ranks pack nodes contiguously (engine convention), so
-        # the neighbour's node — hence link class — follows from rank.
         ctx = env.ctx
         cluster = ctx.cluster
         ranks_per_node = max(1, ctx.size // cluster.num_nodes)
 
         def node_of(rank: int) -> int:
+            # Ranks pack nodes contiguously (engine convention), so a
+            # neighbour's node — hence link class — follows from rank.
             return min(rank // ranks_per_node, cluster.num_nodes - 1)
 
-        my_node = node_of(ctx.rank)
-        alphas: list[float] = []
-        sizes: list[float] = []
-        inv_bw: list[float] = []
-        for ax in range(len(self.local_shape)):
-            base = self._face_bytes_model(ax, depth=h) * n_arrays
-            for nbr in self._neighbors[ax]:
-                if nbr == PROC_NULL:
+        # One model per distinct position: its extents, neighbours, and
+        # per-message (α, depth-h bytes, 1/bw) of one exchange round.
+        models = {}
+        kmax = MAX_AUTO_TIME_BLOCK
+        for rank in range(self.cart.size):
+            coords = coords_of(rank, self.cart.dims)
+            shape = tuple(
+                int(self._axis_offsets[ax][c + 1] - self._axis_offsets[ax][c])
+                for ax, c in enumerate(coords)
+            )
+            neighbors, alphas, sizes, inv_bw = [], [], [], []
+            for ax in range(len(coords)):
+                pair = tuple(
+                    self.cart.rank_at(coords[:ax] + (coords[ax] + d,) + coords[ax + 1 :])
+                    for d in (-1, 1)
+                )
+                neighbors.append(pair)
+                if pair == (PROC_NULL, PROC_NULL):
                     continue
-                link = cluster.link_between(my_node, node_of(nbr))
-                alphas.append(link.latency + link.send_overhead + link.recv_overhead)
-                sizes.append(base)
-                inv_bw.append(1.0 / link.bandwidth)
+                kmax = min(kmax, shape[ax] // (2 * h))
+                base = self._face_bytes_model(ax, depth=h, shape=shape) * n_arrays
+                for nbr in pair:
+                    if nbr == PROC_NULL:
+                        continue
+                    link = cluster.link_between(node_of(rank), node_of(nbr))
+                    alphas.append(link.latency + link.send_overhead + link.recv_overhead)
+                    sizes.append(base)
+                    inv_bw.append(1.0 / link.bandwidth)
+            opened = tuple((lo != PROC_NULL, hi != PROC_NULL) for lo, hi in neighbors)
+            models.setdefault(
+                (shape, opened, tuple(alphas), tuple(sizes), tuple(inv_bw)),
+                (shape, neighbors, alphas, sizes, inv_bw),
+            )
+        if kmax <= 1 or all(pair == (PROC_NULL, PROC_NULL) for pair in self._neighbors):
+            return 1
         # Aggregate per-element compute time of the device team.  Speed
         # profiling has not run yet, so assume the team splits perfectly
         # (harmonic aggregation of per-device rates).
@@ -427,15 +450,16 @@ class StencilRuntime:
         for dev in env.devices:
             rate += 1.0 / dev.elem_time(self._effective_work(dev), framework=True)
         elem_time = 1.0 / rate
-        interior = float(np.prod(self.local_shape))
-        rows = self._partitioner.split(self.local_shape[0])
-        best_k, best_cost = 1, None
-        for k in range(1, kmax + 1):
+
+        def cost(k, shape, neighbors, alphas, sizes, inv_bw) -> float:
+            interior = float(np.prod(shape))
+            rows = self._partitioner.split(shape[0])
             ghost = [
-                (sum(self._sweep_counts(s, k, rows)) - interior) * self._elem_scale
+                (sum(self._sweep_counts(s, k, rows, shape, neighbors)) - interior)
+                * self._elem_scale
                 for s in range(k)
             ]
-            cost = time_block_sweep_cost(
+            return time_block_sweep_cost(
                 k,
                 msg_alphas=alphas,
                 msg_bytes=sizes,
@@ -444,8 +468,12 @@ class StencilRuntime:
                 interior_elems=interior * self._elem_scale,
                 elem_time=elem_time,
             )
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost = k, cost
+
+        best_k, best_cost = 1, None
+        for k in range(1, kmax + 1):
+            slowest = max(cost(k, *model) for model in models.values())
+            if best_cost is None or slowest < best_cost:
+                best_k, best_cost = k, slowest
         return best_k
 
     def set_global_grid(self, grid: np.ndarray) -> None:
@@ -554,12 +582,15 @@ class StencilRuntime:
             out[axis] = slice(sl.stop, sl.stop + d) if halo_side else slice(sl.stop - d, sl.stop)
         return tuple(out)
 
-    def _face_bytes_model(self, axis: int, depth: int | None = None) -> float:
+    def _face_bytes_model(
+        self, axis: int, depth: int | None = None, shape: tuple[int, ...] | None = None
+    ) -> float:
         """Model-scale bytes of one face strip (``depth`` defaults to the
-        registered slab depth ``time_block * halo``)."""
+        registered slab depth ``time_block * halo``, ``shape`` to this
+        rank's local extents)."""
         d = self._halo_depth if depth is None else depth
         elems = d
-        for ax, ext in enumerate(self.local_shape):
+        for ax, ext in enumerate(self.local_shape if shape is None else shape):
             if ax != axis:
                 elems *= ext
         scale = self._elem_scale / self._axis_ratio[axis]
@@ -796,29 +827,6 @@ class StencilRuntime:
             )
         return work.replace(gpu_efficiency=work.gpu_efficiency * UNTILED_GPU_EFF_FACTOR)
 
-    def _charge_regions(
-        self,
-        total: int,
-        n_regions: int,
-        rows: np.ndarray,
-        phase: str,
-        ready: float,
-    ) -> tuple[float, np.ndarray]:
-        """Charge per-device virtual time for computing ``total`` elements
-        spread over ``n_regions`` regions.
-
-        Cost accounting only — the functional math runs separately (one
-        fused kernel apply per step in :meth:`step`), because region
-        fragmentation is a *virtual* concern: launch counts and per-device
-        shares feed the cost model, while numpy runs fastest over the whole
-        interior box.  Costs are split by each device's share of the axis-0
-        rows.  Returns (finish time, per-device busy seconds).
-        """
-        shares = (rows / max(1, int(rows.sum()))).tolist()
-        return self._charge_counts(
-            [total * share for share in shares], n_regions, phase, ready
-        )
-
     def _charge_counts(
         self,
         counts: list[float],
@@ -826,9 +834,16 @@ class StencilRuntime:
         phase: str,
         ready: float,
     ) -> tuple[float, np.ndarray]:
-        """Charge per-device virtual time for explicit per-device element
-        counts (the temporal-blocking path computes ghost-extended counts
-        itself; :meth:`_charge_regions` derives them from row shares)."""
+        """Charge per-device virtual time for computing ``counts[d]``
+        elements on device ``d``, spread over ``n_regions`` regions.
+
+        Cost accounting only — the functional math runs separately (one
+        kernel apply per sweep in :meth:`_blocked_step`), because region
+        fragmentation is a *virtual* concern: launch counts and
+        per-device shares feed the cost model, while numpy runs fastest
+        over the whole box.  Returns (finish time, per-device busy
+        seconds).
+        """
         env = self.env
         busy = np.zeros(len(env.devices))
         finish = ready
@@ -856,104 +871,45 @@ class StencilRuntime:
                 env.trace.record("compute", f"ST:{phase}:{dev.name}", iv.start, iv.end)
         return finish, busy
 
-    # -- one iteration -----------------------------------------------------------------
+    # -- the time-step loop ------------------------------------------------------------
     def step(self) -> None:
-        """One stencil iteration: exchange halos, apply kernel, swap buffers.
+        """One temporal block: a halo exchange, then ``time_block`` sweeps.
 
-        With ``time_block=k > 1`` one call is one full temporal block —
-        one deep exchange plus ``k`` sweeps (the timestep counter
-        advances by ``k``).  Use :meth:`run` to execute a sweep count
-        that is not a multiple of ``k``.
+        At the default ``time_block=1`` a block is one sweep — the
+        paper's time step: exchange halos, apply the kernel, swap
+        buffers.  With ``time_block=k > 1`` the exchange is ``k`` deep
+        and the timestep counter advances by ``k``; use :meth:`run` to
+        execute a sweep count that is not a multiple of ``k``.
         """
-        if self._configured and self._time_block > 1:
-            self._blocked_step(self._time_block)
-            return
-        self._check_configured()
-        if self._kernel is None:
-            raise ConfigurationError("no kernel configured")
-        env = self.env
-        clock = env.clock
-        pre = self._prestarted
-        if pre is None:
-            t0 = clock.now
-            for dev in env.devices:
-                dev.reset(start=t0)
-            rows = self._device_rows()
-            self._rows = rows
-            recvs = self._begin_exchange()
-        else:
-            # The exchange (and the device resets) already happened in
-            # begin_step_early(); pick up the in-flight receives.
-            self._prestarted = None
-            t0, rows, recvs = pre
-        n_bound = len(self._boundary)
-
-        if self.overlap:
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", clock.now
-            )
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            ready = max(inner_done, dev_xchg_done)
-            bound_done, busy_bound = self._charge_regions(
-                self._boundary_elems, n_bound, rows, "boundary", ready
-            )
-            end = max(inner_done, bound_done)
-        else:
-            self._finish_exchange(recvs)
-            dev_xchg_done = self._interdevice_exchange(clock.now)
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", dev_xchg_done
-            )
-            bound_done, busy_bound = self._charge_regions(
-                self._boundary_elems, n_bound, rows, "boundary", inner_done
-            )
-            end = bound_done
-        clock.advance_to(end)
-
-        # Functional math, decoupled from the virtual charges above: one
-        # fused kernel apply over the whole interior once the halos are in.
-        # Elementwise stencil updates give bit-identical results whether
-        # the interior is computed as one box or as inner + boundary slabs,
-        # and numpy is much faster over the single large box.
-        self._kernel.apply(self._src, self._dst, self.interior, self._effective_parameter())
-        self._after_apply(self._src, self._dst)
-
-        if self.adaptive and not self._partitioner.profiled:
-            busy = busy_inner + busy_bound
-            if busy.sum() > 0:
-                self._partitioner.observe(rows.astype(float), np.maximum(busy, 1e-30))
-
-        self._src, self._dst = self._dst, self._src
-        self._timestep += 1
-        if env.trace.enabled:
-            env.trace.record("compute", "ST:step", t0, clock.now, {"step": self._timestep})
+        self._blocked_step(self._time_block)
 
     def run(self, iterations: int) -> None:
         """Run ``iterations`` stencil *sweeps* (paper: the time-step loop).
 
-        With temporal blocking the sweeps execute in blocks of
-        ``time_block``; a final partial block still exchanges at the
-        registered ``time_block * halo`` depth (the buffers and message
-        layouts are fixed at configure time — the overshoot bytes are
-        charged honestly) but only sweeps the remaining iterations, so
-        the run lands exactly on ``iterations`` applications.
+        The sweeps execute in blocks of ``time_block``; a final partial
+        block still exchanges at the registered ``time_block * halo``
+        depth (the buffers and message layouts are fixed at configure
+        time — the overshoot bytes are charged honestly) but only sweeps
+        the remaining iterations, so the run lands exactly on
+        ``iterations`` applications.
         """
         if iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-        k = self._time_block if self._configured else 1
-        if k <= 1:
-            for _ in range(iterations):
-                self.step()
-            return
         left = iterations
         while left > 0:
-            sweeps = min(k, left)
+            sweeps = min(self._time_block, left)
             self._blocked_step(sweeps)
             left -= sweeps
 
-    # -- temporal blocking (deep ghost zones) -------------------------------------------
-    def _sweep_counts(self, s: int, sweeps: int, rows: np.ndarray) -> list[float]:
+    # -- the block engine: one exchange, then sweeps over shrinking regions -----------
+    def _sweep_counts(
+        self,
+        s: int,
+        sweeps: int,
+        rows: np.ndarray,
+        shape: tuple[int, ...] | None = None,
+        neighbors: list[tuple[int, int]] | None = None,
+    ) -> list[float]:
         """Per-device functional element counts charged for sweep ``s``.
 
         The valid region shrinks by ``halo`` toward every *open* side per
@@ -963,15 +919,19 @@ class StencilRuntime:
         additionally recomputes ``e`` rows past its own split planes —
         inter-device planes are exchanged once per block, so the sweeps
         in between must recompute across them too.  Sides at a
-        non-periodic global border never extend.
+        non-periodic global border never extend.  ``shape`` and
+        ``neighbors`` default to this rank's (the auto-tuner prices other
+        ranks' positions too).
         """
+        shape = self.local_shape if shape is None else shape
+        neighbors = self._neighbors if neighbors is None else neighbors
         h = self._kernel.halo
         e = (sweeps - 1 - s) * h
         cross = 1.0
-        for ax in range(1, len(self.local_shape)):
-            lo, hi = self._neighbors[ax]
-            cross *= self.local_shape[ax] + e * ((lo != PROC_NULL) + (hi != PROC_NULL))
-        lo0, hi0 = self._neighbors[0]
+        for ax in range(1, len(shape)):
+            lo, hi = neighbors[ax]
+            cross *= shape[ax] + e * ((lo != PROC_NULL) + (hi != PROC_NULL))
+        lo0, hi0 = neighbors[0]
         n_dev = len(rows)
         counts: list[float] = []
         for d in range(n_dev):
@@ -1013,21 +973,64 @@ class StencilRuntime:
             out.append(tuple(region))
         return out
 
-    def _blocked_step(self, sweeps: int) -> None:
-        """One temporal block: one deep halo exchange, then ``sweeps`` sweeps.
+    def _block_plan(self, sweeps: int, rows: np.ndarray) -> tuple:
+        """Charges and regions of one block, fixed by ``sweeps`` and the split.
 
-        Virtual charging mirrors :meth:`step` for sweep 0 — the inner box
-        overlaps the wire, the rest of the (ghost-extended) sweep-0
-        region waits for halos and device planes — then sweeps ``1..k-1``
-        are charged sequentially: pure local compute over a shrinking
-        region, with the redundant ghost elements priced as real flops
-        through the same device cost model.  The functional sweeps run
-        afterwards over the exact shrinking regions, so gathered grids
-        are bit-identical to ``time_block=1``.
+        Returns ``(inner0, rest0, later, profile, ghost_flops, regions)``:
+        sweep 0's per-device element counts for the inner box and for the
+        rest of its region, the ghost-extended counts of sweeps
+        ``1..sweeps-1``, the per-device counts the speed profile observes,
+        the block's redundant model-scale flops, and each sweep's
+        functional region.  The device split settles after one profiled
+        block, so a run builds a handful of plans and reuses them.
+        """
+        key = (sweeps, tuple(rows.tolist()))
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        shares = (rows / max(1, int(rows.sum()))).tolist()
+        inner0 = [self._inner_elems * share for share in shares]
+        counts = [self._sweep_counts(s, sweeps, rows) for s in range(sweeps)]
+        total = np.asarray(counts[0], dtype=float)
+        for sweep_counts in counts[1:]:
+            total += np.asarray(sweep_counts, dtype=float)
+        if self._time_block == 1:
+            # Unblocked: each device's row share of the boundary slabs,
+            # and the speed profile over the plain row split.
+            rest0 = [self._boundary_elems * share for share in shares]
+            profile = rows.astype(float)
+        else:
+            # Everything in sweep 0's ghost-extended region but the inner
+            # box (strictly positive — the extension only ever grows the
+            # region past inner+boundary); the profile observes effective
+            # per-sweep counts, ghost rows included, so the extra work
+            # does not bias it.
+            rest0 = [counts[0][d] - inner0[d] for d in range(len(shares))]
+            profile = total / sweeps
+        interior_elems = float(self._inner_elems + self._boundary_elems)
+        ghost_flops = (
+            max(0.0, float(total.sum()) - sweeps * interior_elems)
+            * self._elem_scale
+            * self._kernel.work.flops_per_elem
+        )
+        plan = (inner0, rest0, counts[1:], profile, ghost_flops, self._block_regions(sweeps))
+        self._plans[key] = plan
+        return plan
+
+    def _blocked_step(self, sweeps: int) -> None:
+        """One temporal block: one halo exchange, then ``sweeps`` sweeps.
+
+        Sweep 0 is charged like the paper's step: the inner box overlaps
+        the exchange (``overlap=False`` serializes it after), and the
+        rest of the sweep-0 region waits for halos and device planes.
+        Sweeps ``1..sweeps-1`` are then charged sequentially: pure local
+        compute over a shrinking region, with the redundant ghost
+        elements priced as real flops through the same device cost
+        model.  The functional sweeps run afterwards over the exact
+        shrinking regions, so gathered grids are bit-identical to
+        ``time_block=1``, where a block is a single sweep.
         """
         self._check_configured()
-        if self._kernel is None:
-            raise ConfigurationError("no kernel configured")
         env = self.env
         clock = env.clock
         pre = self._prestarted
@@ -1039,77 +1042,50 @@ class StencilRuntime:
             self._rows = rows
             recvs = self._begin_exchange()
         else:
-            # The deep exchange (and the device resets) already happened
-            # in begin_step_early(); pick up the in-flight receives.
+            # The exchange (and the device resets) already happened in
+            # begin_step_early(); pick up the in-flight receives.
             self._prestarted = None
             t0, rows, recvs = pre
+        inner0, rest0, later, profile, ghost_flops, regions = self._block_plan(sweeps, rows)
         n_bound = len(self._boundary)
-        counts0 = self._sweep_counts(0, sweeps, rows)
-        shares = (rows / max(1, int(rows.sum()))).tolist()
-        # Sweep 0 splits like a plain step: the inner box overlaps the
-        # exchange; everything else in its ghost-extended region is the
-        # "boundary" remainder (strictly positive — the extension only
-        # ever grows the region past inner+boundary).
-        remainder0 = [
-            counts0[d] - self._inner_elems * shares[d] for d in range(len(counts0))
-        ]
 
         if self.overlap:
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", clock.now
-            )
+            inner_done, busy_inner = self._charge_counts(inner0, 1, "inner", clock.now)
             self._finish_exchange(recvs)
             dev_xchg_done = self._interdevice_exchange(clock.now)
             ready = max(inner_done, dev_xchg_done)
-            bound_done, busy_bound = self._charge_counts(
-                remainder0, n_bound, "boundary", ready
-            )
+            bound_done, busy_bound = self._charge_counts(rest0, n_bound, "boundary", ready)
             end = max(inner_done, bound_done)
         else:
             self._finish_exchange(recvs)
             dev_xchg_done = self._interdevice_exchange(clock.now)
-            inner_done, busy_inner = self._charge_regions(
-                self._inner_elems, 1, rows, "inner", dev_xchg_done
-            )
-            bound_done, busy_bound = self._charge_counts(
-                remainder0, n_bound, "boundary", inner_done
-            )
-            end = bound_done
+            inner_done, busy_inner = self._charge_counts(inner0, 1, "inner", dev_xchg_done)
+            end, busy_bound = self._charge_counts(rest0, n_bound, "boundary", inner_done)
         busy = busy_inner + busy_bound
-        total_counts = np.asarray(counts0, dtype=float)
-        for s in range(1, sweeps):
-            counts = self._sweep_counts(s, sweeps, rows)
+        for counts in later:
             end, busy_s = self._charge_counts(counts, 1, "sweep", end)
             busy += busy_s
-            total_counts += np.asarray(counts, dtype=float)
         clock.advance_to(end)
 
-        # Functional sweeps over the shrinking regions; the per-sweep
-        # hook and the buffer swap run exactly as in single-step mode.
-        for region in self._block_regions(sweeps):
+        # Functional math, decoupled from the virtual charges above: one
+        # kernel apply per sweep over its whole region once the halos are
+        # in.  Elementwise updates give bit-identical results whether a
+        # region is computed as one box or as inner + boundary slabs, and
+        # numpy is much faster over the single large box.
+        for region in regions:
             self._kernel.apply(self._src, self._dst, region, self._effective_parameter())
             self._after_apply(self._src, self._dst)
             self._src, self._dst = self._dst, self._src
             self._timestep += 1
 
-        if self.adaptive and not self._partitioner.profiled:
-            if busy.sum() > 0:
-                # Effective per-sweep element counts (ghost rows included)
-                # keep the speed profile unbiased by the extra work.
-                self._partitioner.observe(total_counts / sweeps, np.maximum(busy, 1e-30))
-
-        interior_elems = float(self._inner_elems + self._boundary_elems)
-        self._redundant_flops += (
-            max(0.0, float(total_counts.sum()) - sweeps * interior_elems)
-            * self._elem_scale
-            * self._kernel.work.flops_per_elem
-        )
+        if self.adaptive and not self._partitioner.profiled and busy.sum() > 0:
+            self._partitioner.observe(profile, np.maximum(busy, 1e-30))
+        self._redundant_flops += ghost_flops
         if env.trace.enabled:
-            env.trace.gauge("stencil.time_block", float(self._time_block))
             env.trace.gauge("halo.redundant_flops", self._redundant_flops)
             env.trace.record(
                 "compute",
-                "ST:block",
+                "ST:step",
                 t0,
                 clock.now,
                 {"step": self._timestep, "sweeps": sweeps},

@@ -95,10 +95,9 @@ class StencilReduceRuntime(StencilRuntime):
             raise ConfigurationError(f"reduce_flops must be >= 0, got {reduce_flops}")
         self.reduce_flops = float(reduce_flops)
         self._reduce_fn: Callable[[np.ndarray, np.ndarray], Any] | None = None
-        self._local_value: Any = None
         self._conv: dict | None = None
-        #: Per-sweep local values of the current temporal block (armed by
-        #: :meth:`_fused_block`); None outside blocked convergence loops.
+        #: Per-sweep local values of the current block (armed by
+        #: :meth:`_fused_block`); None outside convergence loops.
         self._block_values: list[Any] | None = None
         #: Per-sweep interior snapshots of the current block, kept only
         #: when a tolerance is set so a mid-block convergence can rewind
@@ -119,9 +118,7 @@ class StencilReduceRuntime(StencilRuntime):
             # Interiors are always fully valid, even mid-block: every
             # sweep's region contains the interior, so the fused local
             # value is bitwise the one an unblocked sweep produces.
-            self._local_value = self._reduce_fn(src[self.interior], dst[self.interior])
-            if self._block_values is not None:
-                self._block_values.append(self._local_value)
+            self._block_values.append(self._reduce_fn(src[self.interior], dst[self.interior]))
             if self._block_grids is not None:
                 self._block_grids.append(dst[self.interior].copy())
 
@@ -158,20 +155,18 @@ class StencilReduceRuntime(StencilRuntime):
     ) -> ConvergenceResult:
         """Iterate until the residual drops to ``tol`` or ``max_iters``.
 
-        Per iteration: one stencil step whose sweep also produces the
-        local reduction value (``reduce_fn(old, new)`` over the interior,
-        charged at ``reduce_flops`` extra per element), the next step's
-        speculative halo send, the global combine (``reduce_op`` over the
-        ranks' local values), then the convergence test.
-
-        With temporal blocking (``configure(time_block=k)``) the loop
-        runs block-at-a-time: ``k`` fused sweeps per exchange, one
-        *vector* combine folding all ``k`` local values at once (bitwise
-        identical per component to ``k`` scalar combines), speculation
-        covering the next block's deep exchange, and checkpoint
-        snapshots on block boundaries.  Residual histories and final
-        grids match the ``time_block=1`` loop bit for bit, including a
-        mid-block convergence (the grid rewinds to the converged sweep).
+        The loop runs block-at-a-time (``configure(time_block=k)``; a
+        block is one sweep at the default ``k=1``).  Per block: one
+        exchange and ``k`` sweeps, each of which also produces the local
+        reduction value (``reduce_fn(old, new)`` over the interior,
+        charged at ``reduce_flops`` extra per element); the next block's
+        speculative halo send; one *vector* combine folding the ``k``
+        local values (``reduce_op`` over the ranks, bitwise identical
+        per component to ``k`` scalar combines); then the convergence
+        test sweep by sweep.  Checkpoint snapshots land on block
+        boundaries.  Residual histories and final grids match the
+        ``time_block=1`` loop bit for bit, including a mid-block
+        convergence (the grid rewinds to the converged sweep).
         ``on_value`` is incompatible with ``time_block > 1`` — it feeds
         the combined value back between sweeps, which a blocked loop
         cannot honour.
@@ -218,47 +213,24 @@ class StencilReduceRuntime(StencilRuntime):
             residual_fn = float
         self._reduce_fn = reduce_fn
         self._conv = {"iterations": 0, "residuals": [], "values": [], "converged": False}
-        blocked = self._time_block > 1
         try:
             if checkpoint is not None:
-                if blocked:
-                    # One manager iteration per temporal block: snapshots
-                    # land on block boundaries, so a crash-restart inside
-                    # a block replays the whole block to the same
-                    # bit-identical grid and history.
-                    def body(_it: int) -> bool:
-                        return self._fused_block(
-                            tol, reduce_op, residual_fn, max_iters, speculate=False
-                        )
-
-                    n_blocks = -(-max_iters // self._time_block)
-                    checkpoint.run_convergence(
-                        n_blocks, body, self.snapshot_state, self.restore_state
+                # One manager iteration per block: snapshots land on block
+                # boundaries, so a crash-restart inside a block replays the
+                # whole block to the same bit-identical grid and history.
+                def body(_it: int) -> bool:
+                    return self._fused_block(
+                        tol, reduce_op, residual_fn, on_value, max_iters, speculate=False
                     )
-                else:
 
-                    def body(_it: int) -> bool:
-                        return self._fused_iteration(
-                            tol, reduce_op, residual_fn, on_value, speculate=False
-                        )
-
-                    checkpoint.run_convergence(
-                        max_iters, body, self.snapshot_state, self.restore_state
-                    )
-            elif blocked:
-                while self._conv["iterations"] < max_iters:
-                    left = max_iters - self._conv["iterations"]
-                    speculate = left > min(self._time_block, left)
-                    if self._fused_block(
-                        tol, reduce_op, residual_fn, max_iters, speculate=speculate
-                    ):
-                        break
-                self.cancel_begun_step()
+                n_blocks = -(-max_iters // self._time_block)
+                checkpoint.run_convergence(
+                    n_blocks, body, self.snapshot_state, self.restore_state
+                )
             else:
                 while self._conv["iterations"] < max_iters:
-                    speculate = self._conv["iterations"] + 1 < max_iters
-                    if self._fused_iteration(
-                        tol, reduce_op, residual_fn, on_value, speculate=speculate
+                    if self._fused_block(
+                        tol, reduce_op, residual_fn, on_value, max_iters, speculate=True
                     ):
                         break
                 self.cancel_begun_step()
@@ -271,70 +243,40 @@ class StencilReduceRuntime(StencilRuntime):
             )
         finally:
             self._reduce_fn = None
-            self._local_value = None
             self._conv = None
-
-    def _fused_iteration(
-        self,
-        tol: float | None,
-        reduce_op: str,
-        residual_fn: Callable[[Any], float],
-        on_value: Callable[[Any], None] | None,
-        *,
-        speculate: bool,
-    ) -> bool:
-        """One fused step + combine + convergence test; True to stop."""
-        env = self.env
-        self._local_value = None
-        self.step()
-        local = self._local_value
-        conv = self._conv
-        conv["iterations"] += 1
-        if speculate:
-            # Send the next step's strips before folding the scalar: the
-            # combine's virtual time hides the halo flight time.
-            self.begin_step_early()
-        value = self._combine(local, reduce_op)
-        conv["values"].append(value)
-        if on_value is not None:
-            on_value(value)
-        residual = float(residual_fn(value))
-        conv["residuals"].append(residual)
-        if env.trace.enabled:
-            env.trace.count("stencil_reduce.steps")
-            env.trace.gauge("stencil_reduce.residual", residual)
-        done = tol is not None and residual <= tol
-        if done:
-            conv["converged"] = True
-        return done
 
     def _fused_block(
         self,
         tol: float | None,
         reduce_op: str,
         residual_fn: Callable[[Any], float],
+        on_value: Callable[[Any], None] | None,
         max_iters: int,
         *,
         speculate: bool,
     ) -> bool:
-        """One temporal block of fused sweeps + a single vector combine.
+        """One block of fused sweeps + a single vector combine.
 
         Every sweep's local value is captured by the :meth:`_after_apply`
         hook; the block then folds all of them in *one* collective —
         recursive doubling applies the combine ufunc elementwise, so each
         component of the folded vector is bitwise the scalar a per-sweep
         ``allreduce`` would have produced (same rank tree, same IEEE op
-        order).  Residuals are consumed sweep by sweep against ``tol``:
-        on a mid-block hit the grid rewinds to the converged sweep's
-        interior (the overshot sweeps' charges stay — the block was
-        really computed) and the history ends exactly where the
-        ``time_block=1`` loop's would.  Returns True to stop.
+        order, same bytes for a one-sweep block).  Residuals are consumed
+        sweep by sweep against ``tol``: on a mid-block hit the grid
+        rewinds to the converged sweep's interior (the overshot sweeps'
+        charges stay — the block was really computed) and the history
+        ends exactly where the ``time_block=1`` loop's would.  With
+        ``speculate`` the next block's exchange is posted before the
+        combine unless this block ends the loop.  Returns True to stop.
         """
         env = self.env
         conv = self._conv
         sweeps = min(self._time_block, max_iters - conv["iterations"])
         self._block_values = []
-        self._block_grids = [] if tol is not None else None
+        # Rewinding needs per-sweep interiors only when a block can
+        # converge before its last sweep.
+        self._block_grids = [] if tol is not None and sweeps > 1 else None
         try:
             self._blocked_step(sweeps)
             values = self._block_values
@@ -342,9 +284,9 @@ class StencilReduceRuntime(StencilRuntime):
         finally:
             self._block_values = None
             self._block_grids = None
-        if speculate:
-            # Post the next block's deep exchange before the combine so
-            # the strips' flight time hides under the collective.
+        if speculate and conv["iterations"] + sweeps < max_iters:
+            # Post the next block's exchange before the combine so the
+            # strips' flight time hides under the collective.
             self.begin_step_early()
         combined = self._combine(np.stack([np.asarray(v) for v in values]), reduce_op)
         done = False
@@ -352,6 +294,8 @@ class StencilReduceRuntime(StencilRuntime):
             value = combined[s]
             conv["iterations"] += 1
             conv["values"].append(value)
+            if on_value is not None:
+                on_value(value)
             residual = float(residual_fn(value))
             conv["residuals"].append(residual)
             if env.trace.enabled:

@@ -172,6 +172,26 @@ def test_auto_matches_k1_when_blocking_cannot_win():
     assert auto.makespan <= base
 
 
+def test_auto_agrees_across_uneven_ranks():
+    # 15 rows over 2 ranks: extents 8 and 7 allow k <= 4 and k <= 3.  Both
+    # ends of each halo message need one strip depth, so every rank must
+    # resolve "auto" to the same k, and the run must stay bit-identical.
+    grid = np.random.default_rng(1).random((15, 12))
+
+    def prog(ctx):
+        env = RuntimeEnv(ctx, "cpu")
+        st = env.get_stencil()
+        st.configure(StencilKernel(_avg2d, 1, WORK), grid.shape, time_block="auto")
+        st.set_global_grid(grid)
+        st.run(5)
+        return st.time_block, st.gather_global()
+
+    res = run_spmd(prog).values
+    assert res[0][0] == res[1][0]
+    ref = run_spmd(_program(grid, _avg2d)).values[0]
+    np.testing.assert_array_equal(res[0][1], ref)
+
+
 # -- checkpoint / crash-restart ----------------------------------------------
 
 def test_heat3d_crash_restart_mid_block_bit_identical():
