@@ -98,6 +98,19 @@ def throughput_order(specs: list[JobSpec]) -> list[int]:
     return sorted(range(len(specs)), key=lambda i: (-specs[i].ranks, i))
 
 
+def _submission_order(specs: list[JobSpec]) -> list[int]:
+    """Indices to submit: :func:`throughput_order`, first of each content
+    hash only (identical points execute once; every row still reports)."""
+    seen: set[str] = set()
+    submit_idx: list[int] = []
+    for i in throughput_order(specs):
+        h = specs[i].content_hash()
+        if h not in seen:
+            seen.add(h)
+            submit_idx.append(i)
+    return submit_idx
+
+
 def _mean_utilization(report: dict[str, Any]) -> float | None:
     timelines = report.get("timelines") or []
     if not timelines:
@@ -172,7 +185,6 @@ class CampaignRunner:
         client: A :class:`ServeClient` pointed at a running job server;
             the campaign then travels as one ``POST /jobs/batch``.
         rank_budget: In-process scheduler budget (ranks in flight).
-        cache_size: In-process LRU size above the store.
         executor: In-process executor override (tests).
         timeout: Wall-clock seconds to wait for the whole sweep.
     """
@@ -184,7 +196,6 @@ class CampaignRunner:
         store: ResultStore | str | Path | None = None,
         client: ServeClient | None = None,
         rank_budget: int = 64,
-        cache_size: int = 256,
         executor: Any = None,
         timeout: float = 3600.0,
     ) -> None:
@@ -194,7 +205,6 @@ class CampaignRunner:
             store = ResultStore(store)
         self.store = store
         self.rank_budget = rank_budget
-        self.cache_size = cache_size
         self.executor = executor
         self.timeout = timeout
 
@@ -213,19 +223,13 @@ class CampaignRunner:
         return CampaignResult(name=self.campaign.name, rows=rows, stats=stats)
 
     def _run_local(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
-        order = throughput_order(specs)
-        # Deduplicate identical points: one execution, every row reports.
-        by_hash: dict[str, int] = {}
-        submit_idx: list[int] = []
-        for i in order:
-            h = specs[i].content_hash()
-            if h not in by_hash:
-                by_hash[h] = i
-                submit_idx.append(i)
+        submit_idx = _submission_order(specs)
+        # Points are unique once deduplicated, so the in-memory LRU is
+        # never hit within one run; it only fronts the persistent store.
         scheduler = JobScheduler(
             self.executor,
             rank_budget=self.rank_budget,
-            cache=ResultCache(self.cache_size, store=self.store),
+            cache=ResultCache(store=self.store),
         )
         warmed = 0 if scheduler.pooled else prewarm_datasets([specs[i] for i in submit_idx])
         deadline = time.monotonic() + self.timeout  # one budget for the sweep
@@ -268,14 +272,7 @@ class CampaignRunner:
         return rows, stats
 
     def _run_remote(self, specs: list[JobSpec]) -> tuple[list[dict], dict]:
-        order = throughput_order(specs)
-        by_hash: dict[str, int] = {}
-        submit_idx: list[int] = []
-        for i in order:
-            h = specs[i].content_hash()
-            if h not in by_hash:
-                by_hash[h] = i
-                submit_idx.append(i)
+        submit_idx = _submission_order(specs)
         before = self.client.stats()
         entries = self.client.submit_many([specs[i] for i in submit_idx])
         statuses: dict[str, dict[str, Any]] = {}

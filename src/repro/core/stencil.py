@@ -123,15 +123,11 @@ class StencilRuntime:
         overlap: bool = True,
         tiling: bool = True,
         adaptive: bool = True,
-        cpu_tile: int = 16,
-        gpu_tile: int = 32,
     ) -> None:
         self.env = env
         self.overlap = overlap
         self.tiling = tiling
         self.adaptive = adaptive
-        self.cpu_tile = cpu_tile
-        self.gpu_tile = gpu_tile
         self._kernel: StencilKernel | None = None
         self._configured = False
         self._parameter: Any = None

@@ -357,8 +357,9 @@ def ablations(scale: str = "quick") -> list[dict]:
             }
         )
     for adaptive in (True, False):
-        res = moldyn.run(cluster, configs["moldyn"], mix="cpu+2gpu")
-        if not adaptive:
+        if adaptive:
+            res = moldyn.run(cluster, configs["moldyn"], mix="cpu+2gpu")
+        else:
             res = _moldyn_static(cluster, configs["moldyn"])
         rows.append(
             {

@@ -18,6 +18,10 @@ Two execution backends share this entry point (``backend=`` or the
   boundary in shared memory.  Virtual makespans are bit-identical to the
   thread backend — the backends differ only in wall-clock parallelism.
 
+Both backends take the run's parameters as one frozen :class:`RunSpec`
+and share one run body, :func:`run_block`: the thread backend runs every
+rank as one block, each worker process runs its own block.
+
 Rank threads come from a process-wide reusable pool
 (:class:`_RankThreadPool`): figure sweeps run thousands of back-to-back
 SPMD runs, and at the paper's baseline scale (32 nodes × 12 ranks/node =
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -115,43 +118,55 @@ class _RankFailure(Exception):
         self.exc = exc
 
 
-def run_one_rank(
-    fabric: Any,
-    rank: int,
-    nranks: int,
-    cluster: ClusterSpec,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    trace: Trace,
-    device_factory: DeviceFactory | None,
-    recv_timeout: float,
-    fault_plan: "FaultPlan | None",
-) -> tuple[Any, float]:
+@dataclass(frozen=True)
+class RunSpec:
+    """One SPMD run's parameters, built once by :func:`spmd_run`.
+
+    Both backends, and the process backend's workers (which receive it
+    cloudpickled), take this one object; see :func:`spmd_run` for what
+    each field means.
+    """
+
+    fn: Callable[..., Any]
+    cluster: ClusterSpec
+    ranks_per_node: int
+    args: tuple
+    kwargs: dict
+    trace: bool
+    recorder_factory: Callable[[int], Trace] | None
+    device_factory: DeviceFactory | None
+    recv_timeout: float
+    wall_timeout: float
+    fault_plan: "FaultPlan | None"
+
+    @property
+    def nranks(self) -> int:
+        return self.cluster.num_nodes * self.ranks_per_node
+
+
+def run_one_rank(spec: RunSpec, fabric: Any, rank: int, trace: Trace) -> tuple[Any, float]:
     """Wire up one rank's context and run its program.
 
-    Returns ``(value, final virtual time)``.  Shared by the thread backend
-    (below) and the process backend's workers
-    (:mod:`repro.sim.procworker`), so both build bit-identical contexts.
+    Returns ``(value, final virtual time)``.
     """
     from repro.comm.communicator import SimComm
 
     clock = VirtualClock()
-    comm = SimComm(fabric, rank, clock, trace=trace, recv_timeout=recv_timeout)
+    comm = SimComm(fabric, rank, clock, trace=trace, recv_timeout=spec.recv_timeout)
     ctx = RankContext(
         rank=rank,
-        size=nranks,
+        size=spec.nranks,
         node_index=fabric.node_of(rank),
-        node=cluster.node,
-        cluster=cluster,
+        node=spec.cluster.node,
+        cluster=spec.cluster,
         clock=clock,
         comm=comm,
         trace=trace,
-        fault_plan=fault_plan,
+        fault_plan=spec.fault_plan,
     )
-    if device_factory is not None:
-        ctx.devices = list(device_factory(ctx))
-    value = fn(ctx, *args, **kwargs)
+    if spec.device_factory is not None:
+        ctx.devices = list(spec.device_factory(ctx))
+    value = spec.fn(ctx, *spec.args, **spec.kwargs)
     return value, clock.now
 
 
@@ -312,33 +327,99 @@ def active_run_stats() -> dict[str, int]:
 
 
 class _RunGroup:
-    """Completion tracking for the rank tasks of one SPMD run."""
+    """Completion tracking for the rank tasks of one rank block."""
 
     def __init__(self, nranks: int) -> None:
         self._cond = threading.Condition()
         self._done = [False] * nranks
         self._remaining = nranks
 
-    def task_done(self, rank: int) -> None:
+    def task_done(self, index: int) -> None:
         with self._cond:
-            self._done[rank] = True
+            self._done[index] = True
             self._remaining -= 1
             if self._remaining == 0:
                 self._cond.notify_all()
 
-    def wait(self, timeout: float) -> bool:
-        """True when every rank finished within ``timeout`` seconds."""
-        deadline = time.monotonic() + timeout
+    def wait(self, timeout: float | None) -> bool:
+        """True when every task finished within ``timeout`` seconds
+        (``None``: wait for as long as it takes)."""
         with self._cond:
-            while self._remaining > 0:
-                left = deadline - time.monotonic()
-                if left <= 0 or not self._cond.wait(timeout=left):
-                    return self._remaining == 0
-            return True
+            return self._cond.wait_for(lambda: self._remaining == 0, timeout)
 
-    def pending_ranks(self) -> list[int]:
+    def pending(self) -> list[int]:
         with self._cond:
-            return [r for r, done in enumerate(self._done) if not done]
+            return [i for i, done in enumerate(self._done) if not done]
+
+
+def run_block(
+    spec: RunSpec, fabric: Any, ranks: range, *, watchdog: bool
+) -> tuple[list[Any], list[float], list[Trace], list[_RankFailure]]:
+    """Run one contiguous block of ``spec``'s ranks on ``fabric``.
+
+    The one run body of both backends: the thread backend runs every rank
+    as one block, each process-backend worker runs its own block on a
+    bridged fabric.  Installs the fault plan, builds the block's traces,
+    runs each rank on a pooled thread (a single-rank block inline, which
+    keeps single-rank tests easy to debug), and waits for all of them.
+    With ``watchdog`` the wait is bounded by ``spec.wall_timeout``: on
+    expiry the fabric is aborted, the ranks get a grace period, and a
+    :class:`DeadlockError` is raised.  Without it the wait is unbounded
+    (process workers: the parent owns the run's wall budget and abandons
+    wedged workers).
+
+    Returns per-rank values, virtual times and traces in block order, and
+    every recorded rank failure.
+    """
+    if spec.fault_plan is not None:
+        fabric.install_faults(spec.fault_plan)
+    n = len(ranks)
+    values: list[Any] = [None] * n
+    times: list[float] = [0.0] * n
+    if spec.recorder_factory is not None:
+        traces = [spec.recorder_factory(r) for r in ranks]
+    else:
+        traces = [Trace(r, enabled=spec.trace) for r in ranks]
+    for tr in traces:
+        # No-op on plain Traces; obs Recorders attach NIC timeline sinks.
+        tr.bind_fabric(fabric)
+    failures: list[_RankFailure] = []
+    failure_lock = threading.Lock()
+
+    def rank_main(i: int) -> None:
+        try:
+            values[i], times[i] = run_one_rank(spec, fabric, ranks[i], traces[i])
+        except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
+            record_rank_failure(fabric, ranks[i], exc, failures, failure_lock)
+
+    if n == 1:
+        rank_main(0)
+        return values, times, traces, failures
+    group = _RunGroup(n)
+
+    def make_task(i: int) -> Callable[[], None]:
+        def task() -> None:
+            try:
+                rank_main(i)
+            finally:
+                group.task_done(i)
+
+        return task
+
+    for i in range(n):
+        _pool.submit(make_task(i))
+    # One shared wall-clock budget for the whole block, not per rank.
+    if not group.wait(spec.wall_timeout if watchdog else None):
+        fabric.abort(DeadlockError("wall timeout"))
+        # Grace period: aborted ranks wake out of their receives and
+        # finish; anything still wedged after this is abandoned to its
+        # (daemon) pool worker, which is never recycled.
+        group.wait(5.0)
+        raise DeadlockError(
+            f"SPMD run exceeded wall timeout of {spec.wall_timeout}s; "
+            f"still-running ranks: {[ranks[i] for i in group.pending()]}"
+        )
+    return values, times, traces, failures
 
 
 def spmd_run(
@@ -397,10 +478,12 @@ def spmd_run(
         The first per-rank exception (sibling ranks are woken and drained),
         or :class:`DeadlockError` if ranks block past the watchdog.
     """
-    if kwargs is None:
-        kwargs = {}
+    spec = RunSpec(
+        fn, cluster, ranks_per_node, args, {} if kwargs is None else kwargs, trace,
+        recorder_factory, device_factory, recv_timeout, wall_timeout, fault_plan,
+    )
     backend = resolve_backend(backend)
-    nranks = cluster.num_nodes * ranks_per_node
+    nranks = spec.nranks
     if nranks <= 0:
         raise ValidationError("cluster must yield at least one rank")
     _run_started(nranks)
@@ -408,52 +491,14 @@ def spmd_run(
         if backend == "processes" and nranks > 1:
             from repro.sim.procpool import spmd_run_processes
 
-            return spmd_run_processes(
-                fn,
-                cluster,
-                ranks_per_node=ranks_per_node,
-                args=args,
-                kwargs=kwargs,
-                trace=trace,
-                recorder_factory=recorder_factory,
-                device_factory=device_factory,
-                recv_timeout=recv_timeout,
-                wall_timeout=wall_timeout,
-                fault_plan=fault_plan,
-                workers=workers,
-            )
-        return _spmd_run_threads(
-            fn,
-            cluster,
-            ranks_per_node=ranks_per_node,
-            args=args,
-            kwargs=kwargs,
-            trace=trace,
-            recorder_factory=recorder_factory,
-            device_factory=device_factory,
-            recv_timeout=recv_timeout,
-            wall_timeout=wall_timeout,
-            fault_plan=fault_plan,
-        )
+            return spmd_run_processes(spec, workers)
+        return _spmd_run_threads(spec)
     finally:
         _run_finished(nranks)
 
 
-def _spmd_run_threads(
-    fn: Callable[..., Any],
-    cluster: ClusterSpec,
-    *,
-    ranks_per_node: int,
-    args: tuple,
-    kwargs: dict,
-    trace: bool,
-    recorder_factory: Callable[[int], Trace] | None,
-    device_factory: DeviceFactory | None,
-    recv_timeout: float,
-    wall_timeout: float,
-    fault_plan: "FaultPlan | None",
-) -> SpmdResult:
-    """The thread backend's run body (see :func:`spmd_run`).
+def _spmd_run_threads(spec: RunSpec) -> SpmdResult:
+    """The thread backend: every rank as one block in this process.
 
     Also the process backend's single-worker fallback, which enters here
     directly so a logical run is only counted once by
@@ -461,75 +506,14 @@ def _spmd_run_threads(
     """
     from repro.comm.fabric import Fabric
 
-    nranks = cluster.num_nodes * ranks_per_node
-    fabric = Fabric(cluster, ranks_per_node=ranks_per_node)
-    if fault_plan is not None:
-        fabric.install_faults(fault_plan)
-    values: list[Any] = [None] * nranks
-    times: list[float] = [0.0] * nranks
-    if recorder_factory is not None:
-        traces: list[Trace] = [recorder_factory(r) for r in range(nranks)]
-    else:
-        traces = [Trace(r, enabled=trace) for r in range(nranks)]
-    for tr in traces:
-        # No-op on plain Traces; obs Recorders attach NIC timeline sinks.
-        tr.bind_fabric(fabric)
-    failures: list[_RankFailure] = []
-    failure_lock = threading.Lock()
-
-    def rank_main(rank: int) -> None:
-        try:
-            values[rank], times[rank] = run_one_rank(
-                fabric,
-                rank,
-                nranks,
-                cluster,
-                fn,
-                args,
-                kwargs,
-                traces[rank],
-                device_factory,
-                recv_timeout,
-                fault_plan,
-            )
-        except BaseException as exc:  # noqa: BLE001 - must not lose rank errors
-            record_rank_failure(fabric, rank, exc, failures, failure_lock)
-
-    if nranks == 1:
-        # Fast path: run inline (keeps single-rank tests easy to debug).
-        rank_main(0)
-    else:
-        group = _RunGroup(nranks)
-
-        def make_task(rank: int) -> Callable[[], None]:
-            def task() -> None:
-                try:
-                    rank_main(rank)
-                finally:
-                    group.task_done(rank)
-
-            return task
-
-        for r in range(nranks):
-            _pool.submit(make_task(r))
-        # One shared wall-clock budget for the whole run, not per rank.
-        if not group.wait(wall_timeout):
-            fabric.abort(DeadlockError("wall timeout"))
-            # Grace period: aborted ranks wake out of their receives and
-            # finish; anything still wedged after this is abandoned to its
-            # (daemon) pool worker, which is never recycled.
-            group.wait(5.0)
-            raise DeadlockError(
-                f"SPMD run exceeded wall timeout of {wall_timeout}s; "
-                f"still-running ranks: {group.pending_ranks()}"
-            )
-
+    fabric = Fabric(spec.cluster, ranks_per_node=spec.ranks_per_node)
+    values, times, traces, failures = run_block(
+        spec, fabric, range(spec.nranks), watchdog=True
+    )
     if failures:
         raise select_failure(failures).exc
-
-    if traces and traces[0].enabled:
+    if traces[0].enabled:
         stats = _pool.stats()
         traces[0].gauge("rank_pool.spawned", stats["spawned"])
         traces[0].gauge("rank_pool.idle", stats["idle"])
-
     return SpmdResult(values=values, times=times, traces=traces)

@@ -2,11 +2,12 @@
 
 :func:`spmd_run_processes` packs an SPMD run's ranks into contiguous
 blocks over a warm pool of worker processes (:mod:`repro.sim.procworker`),
-ships each worker its block plus the run spec (cloudpickle, so closures
-and locally defined rank programs work), and merges the per-block results
-back into one :class:`~repro.sim.engine.SpmdResult` — values, virtual
-times, traces, fault-plan activity, and failures, exactly as the thread
-backend reports them.
+ships each worker its block plus the run's
+:class:`~repro.sim.engine.RunSpec` (cloudpickled once per run, so
+closures and locally defined rank programs work), and merges the
+per-block results back into one :class:`~repro.sim.engine.SpmdResult` —
+values, virtual times, traces, fault-plan activity, and failures,
+exactly as the thread backend reports them.
 
 The pool is process-wide and persistent: figure sweeps run thousands of
 back-to-back SPMD runs, and worker spawn cost (a fresh interpreter under
@@ -32,11 +33,13 @@ import threading
 import time
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cluster.specs import ClusterSpec
 from repro.sim.trace import Trace
 from repro.util.errors import CommunicationError, DeadlockError, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import RunSpec, SpmdResult
 
 #: Wall-clock seconds allowed for a fresh worker's startup handshake.
 _HELLO_TIMEOUT = 60.0
@@ -193,62 +196,35 @@ class _ProcessWorkerPool:
                 h.process.terminate()
 
     # -- running -------------------------------------------------------
-    def run(self, nworkers: int, **spec: Any) -> "Any":
+    def run(self, spec: "RunSpec", nworkers: int) -> "SpmdResult":
         # One process-backend run at a time: run ids stay totally ordered
         # for the workers' orphan/finished bookkeeping, and rank blocks
         # never compete for the same worker.
         with self._lock:
-            return self._run_locked(nworkers, **spec)
+            return self._run_locked(spec, nworkers)
 
-    def _run_locked(
-        self,
-        nworkers: int,
-        *,
-        fn: Callable[..., Any],
-        cluster: ClusterSpec,
-        ranks_per_node: int,
-        args: tuple,
-        kwargs: dict,
-        trace: bool,
-        recorder_factory: Callable[[int], Trace] | None,
-        device_factory: Any,
-        recv_timeout: float,
-        wall_timeout: float,
-        fault_plan: Any,
-    ) -> Any:
+    def _run_locked(self, spec: "RunSpec", nworkers: int) -> "SpmdResult":
         import cloudpickle
 
         from repro.sim.engine import SpmdResult, _RankFailure, select_failure
 
-        nranks = cluster.num_nodes * ranks_per_node
+        nranks = spec.nranks
         handles = self._ensure(nworkers)
         run_id = self._next_run_id
         self._next_run_id += 1
         blocks = partition_ranks(nranks, nworkers)
         rank_worker = tuple(i for i, blk in enumerate(blocks) for _ in blk)
         peer_addrs = {i: h.address for i, h in enumerate(handles)}
-
-        base_spec = {
-            "fn": fn,
-            "cluster": cluster,
-            "ranks_per_node": ranks_per_node,
-            "args": args,
-            "kwargs": kwargs,
-            "trace": trace,
-            "recorder_factory": recorder_factory,
-            "device_factory": device_factory,
-            "recv_timeout": recv_timeout,
-            "wall_timeout": wall_timeout,
-            "fault_plan": fault_plan,
-            "rank_worker": rank_worker,
-            "peer_addrs": peer_addrs,
-        }
-        for i, h in enumerate(handles):
-            blob = cloudpickle.dumps({**base_spec, "my_ranks": blocks[i]})
-            h.conn.send(("run", run_id, blob))
+        blob = cloudpickle.dumps(spec)
+        for h, block in zip(handles, blocks):
+            h.conn.send(("run", run_id, blob, block, rank_worker, peer_addrs))
 
         # -- collect -----------------------------------------------------
-        deadline = time.monotonic() + wall_timeout
+        # One receive loop: when the shared wall budget runs out it relays
+        # the abort and keeps collecting for a grace period, after which
+        # anything still wedged is abandoned.
+        deadline = time.monotonic() + spec.wall_timeout
+        timed_out = False
         pending: dict[Connection, _WorkerHandle] = {h.conn: h for h in handles}
         results: dict[int, dict] = {}  # handle slot index in run -> result
         slot_of = {h.conn: i for i, h in enumerate(handles)}
@@ -269,7 +245,12 @@ class _ProcessWorkerPool:
         while pending:
             left = deadline - time.monotonic()
             if left <= 0:
-                break
+                if timed_out:
+                    break
+                timed_out = True
+                relay_abort()
+                deadline = time.monotonic() + _ABANDON_GRACE
+                continue
             for conn in _conn_wait(list(pending), timeout=left):
                 h = pending[conn]
                 try:
@@ -301,57 +282,34 @@ class _ProcessWorkerPool:
                     del pending[conn]
                     relay_abort()
 
-        if pending:
-            # Shared wall budget exhausted: abort, give survivors a grace
-            # period to report, then abandon anything still wedged.
-            relay_abort()
-            grace_end = time.monotonic() + _ABANDON_GRACE
-            while pending and time.monotonic() < grace_end:
-                for conn in _conn_wait(
-                    list(pending), timeout=max(0.0, grace_end - time.monotonic())
-                ):
-                    h = pending[conn]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        del pending[conn]
-                        self._abandon(h)
-                        continue
-                    if msg[0] in ("done", "fail") and msg[1] == run_id:
-                        del pending[conn]
-                        if msg[0] == "done":
-                            results[slot_of[conn]] = pickle.loads(msg[2])
-            stuck = sorted(
-                r for conn in pending for r in blocks[slot_of[conn]]
-            )
+        self.runs += 1
+        if timed_out:
+            stuck = sorted(r for conn in pending for r in blocks[slot_of[conn]])
             for h in list(pending.values()):
                 self._abandon(h)
-            self.runs += 1
             raise DeadlockError(
-                f"SPMD run exceeded wall timeout of {wall_timeout}s; "
+                f"SPMD run exceeded wall timeout of {spec.wall_timeout}s; "
                 f"ranks on unresponsive workers: {stuck}"
             )
 
         # -- merge -------------------------------------------------------
-        self.runs += 1
         values: list[Any] = [None] * nranks
         times: list[float] = [0.0] * nranks
         traces: list[Trace] = [Trace(r, enabled=False) for r in range(nranks)]
         failures: list[_RankFailure] = []
         rank_pool_spawned = 0
         rank_pool_idle = 0
-        for i in range(nworkers):
+        for i, block in enumerate(blocks):
             res = results.get(i)
             if res is None:
                 continue
-            for j, r in enumerate(blocks[i]):
-                values[r] = res["values"][j]
-                times[r] = res["times"][j]
-                traces[r] = res["traces"][j]
+            values[block.start : block.stop] = res["values"]
+            times[block.start : block.stop] = res["times"]
+            traces[block.start : block.stop] = res["traces"]
             for rank, exc in res["failures"]:
                 failures.append(_RankFailure(rank, exc))
-            if fault_plan is not None and res["fault_stats"] is not None:
-                fault_plan.absorb(res["fault_stats"], res["consumed_crashes"])
+            if spec.fault_plan is not None and res["fault_stats"] is not None:
+                spec.fault_plan.absorb(res["fault_stats"], res["consumed_crashes"])
             rank_pool_spawned += res["rank_pool"]["spawned"]
             rank_pool_idle += res["rank_pool"]["idle"]
 
@@ -360,7 +318,7 @@ class _ProcessWorkerPool:
         if infra_failure is not None:
             raise infra_failure
 
-        if traces and traces[0].enabled:
+        if traces[0].enabled:
             traces[0].gauge("rank_pool.spawned", rank_pool_spawned)
             traces[0].gauge("rank_pool.idle", rank_pool_idle)
             traces[0].gauge("proc_pool.workers", len(handles))
@@ -395,21 +353,7 @@ def shutdown_pool() -> None:
         stop()
 
 
-def spmd_run_processes(
-    fn: Callable[..., Any],
-    cluster: ClusterSpec,
-    *,
-    ranks_per_node: int,
-    args: tuple,
-    kwargs: dict,
-    trace: bool,
-    recorder_factory: Callable[[int], Trace] | None,
-    device_factory: Any,
-    recv_timeout: float,
-    wall_timeout: float,
-    fault_plan: Any,
-    workers: int | None,
-) -> Any:
+def spmd_run_processes(spec: "RunSpec", workers: int | None) -> "SpmdResult":
     """Run one SPMD program on the process backend (see module docstring).
 
     With an effective worker count of one (single-core hosts, or
@@ -417,37 +361,11 @@ def spmd_run_processes(
     results are bit-identical either way and the bridge would only add
     overhead.
     """
-    nranks = cluster.num_nodes * ranks_per_node
-    nworkers = resolve_workers(workers, nranks)
+    nworkers = resolve_workers(workers, spec.nranks)
     if nworkers <= 1:
         # Enter the thread body directly (not spmd_run) so the logical run
         # is counted once by engine.active_run_stats().
         from repro.sim.engine import _spmd_run_threads
 
-        return _spmd_run_threads(
-            fn,
-            cluster,
-            ranks_per_node=ranks_per_node,
-            args=args,
-            kwargs=kwargs,
-            trace=trace,
-            recorder_factory=recorder_factory,
-            device_factory=device_factory,
-            recv_timeout=recv_timeout,
-            wall_timeout=wall_timeout,
-            fault_plan=fault_plan,
-        )
-    return _pool.run(
-        nworkers,
-        fn=fn,
-        cluster=cluster,
-        ranks_per_node=ranks_per_node,
-        args=args,
-        kwargs=kwargs,
-        trace=trace,
-        recorder_factory=recorder_factory,
-        device_factory=device_factory,
-        recv_timeout=recv_timeout,
-        wall_timeout=wall_timeout,
-        fault_plan=fault_plan,
-    )
+        return _spmd_run_threads(spec)
+    return _pool.run(spec, nworkers)

@@ -41,15 +41,8 @@ from typing import Any
 from repro.comm.fabric import Fabric
 from repro.comm.payload import Payload
 from repro.comm.wire import ShmRegistry, decode_payload, discard_record, encode_payload
-from repro.sim.engine import (
-    _pool,
-    _RankFailure,
-    _RunGroup,
-    record_rank_failure,
-    run_one_rank,
-)
-from repro.sim.trace import Trace
-from repro.util.errors import CommunicationError, DeadlockError
+from repro.sim.engine import _pool, run_block
+from repro.util.errors import CommunicationError
 
 
 def _dumps(obj: Any) -> bytes:
@@ -259,10 +252,10 @@ def _accept_loop(state: _WorkerState, listener: Listener) -> None:
         ).start()
 
 
-def _run_driver(state: _WorkerState, run_id: int, blob: bytes) -> None:
+def _run_driver(state: _WorkerState, run_id: int, *job: Any) -> None:
     """Execute one run's local rank block and report back to the parent."""
     try:
-        _run_driver_inner(state, run_id, blob)
+        _run_driver_inner(state, run_id, *job)
     except BaseException as exc:  # noqa: BLE001 - worker must answer the parent
         try:
             state.send_parent(
@@ -272,17 +265,19 @@ def _run_driver(state: _WorkerState, run_id: int, blob: bytes) -> None:
             pass
 
 
-def _run_driver_inner(state: _WorkerState, run_id: int, blob: bytes) -> None:
+def _run_driver_inner(
+    state: _WorkerState,
+    run_id: int,
+    blob: bytes,
+    my_ranks: range,
+    rank_worker: tuple[int, ...],
+    peer_addrs: dict[int, str],
+) -> None:
     import cloudpickle
 
     spec = cloudpickle.loads(blob)
-    cluster = spec["cluster"]
-    ranks_per_node = spec["ranks_per_node"]
-    nranks = cluster.num_nodes * ranks_per_node
-    my_ranks: list[int] = list(spec["my_ranks"])
-    fault_plan = spec["fault_plan"]
-
-    state.router.set_peers(spec["peer_addrs"])
+    fault_plan = spec.fault_plan
+    state.router.set_peers(peer_addrs)
 
     def on_abort(_exc: BaseException) -> None:
         try:
@@ -291,16 +286,15 @@ def _run_driver_inner(state: _WorkerState, run_id: int, blob: bytes) -> None:
             pass
 
     fabric = _BridgedFabric(
-        cluster,
-        ranks_per_node,
+        spec.cluster,
+        spec.ranks_per_node,
         local_ranks=my_ranks,
-        rank_worker=spec["rank_worker"],
+        rank_worker=rank_worker,
         router=state.router,
         run_id=run_id,
         on_abort=on_abort,
     )
     if fault_plan is not None:
-        fabric.install_faults(fault_plan)
         fault_base = fault_plan.stats_snapshot()
         consumed_base = {
             i for i, c in enumerate(fault_plan.crashes) if c.consumed
@@ -315,69 +309,9 @@ def _run_driver_inner(state: _WorkerState, run_id: int, blob: bytes) -> None:
             _deliver_record(run, rec)
         state.runs[run_id] = run
 
-    recorder_factory = spec["recorder_factory"]
-    if recorder_factory is not None:
-        traces = {r: recorder_factory(r) for r in my_ranks}
-    else:
-        traces = {r: Trace(r, enabled=spec["trace"]) for r in my_ranks}
-    for tr in traces.values():
-        tr.bind_fabric(fabric)
-
-    values: dict[int, Any] = {}
-    times: dict[int, float] = {}
-    failures: list[_RankFailure] = []
-    failure_lock = threading.Lock()
-
-    def rank_main(rank: int) -> None:
-        try:
-            values[rank], times[rank] = run_one_rank(
-                fabric,
-                rank,
-                nranks,
-                cluster,
-                spec["fn"],
-                spec["args"],
-                spec["kwargs"],
-                traces[rank],
-                spec["device_factory"],
-                spec["recv_timeout"],
-                fault_plan,
-            )
-        except BaseException as exc:  # noqa: BLE001
-            record_rank_failure(fabric, rank, exc, failures, failure_lock)
-
-    pending: list[int] = []
-    if len(my_ranks) == 1:
-        rank_main(my_ranks[0])
-    else:
-        group = _RunGroup(len(my_ranks))
-        base = my_ranks[0]
-
-        def make_task(rank: int) -> Any:
-            def task() -> None:
-                try:
-                    rank_main(rank)
-                finally:
-                    group.task_done(rank - base)
-
-            return task
-
-        for r in my_ranks:
-            _pool.submit(make_task(r))
-        if not group.wait(spec["wall_timeout"]):
-            fabric.abort(DeadlockError("wall timeout"))
-            group.wait(5.0)
-            pending = [base + i for i in group.pending_ranks()]
-            if not failures:
-                failures.append(
-                    _RankFailure(
-                        pending[0] if pending else base,
-                        DeadlockError(
-                            f"worker {state.slot} exceeded its wall timeout; "
-                            f"still-running ranks: {pending}"
-                        ),
-                    )
-                )
+    # No watchdog here: the parent owns the run's wall budget, relays its
+    # abort, and abandons a worker whose ranks stay wedged.
+    values, times, traces, failures = run_block(spec, fabric, my_ranks, watchdog=False)
 
     if fault_plan is not None:
         end = fault_plan.stats_snapshot()
@@ -392,11 +326,10 @@ def _run_driver_inner(state: _WorkerState, run_id: int, blob: bytes) -> None:
         consumed = []
 
     result = {
-        "values": [values.get(r) for r in my_ranks],
-        "times": [times.get(r, 0.0) for r in my_ranks],
-        "traces": [traces[r] for r in my_ranks],
+        "values": values,
+        "times": times,
+        "traces": traces,
         "failures": [(f.rank, f.exc) for f in failures],
-        "pending": pending,
         "fault_stats": fault_stats,
         "consumed_crashes": consumed,
         "rank_pool": _pool.stats(),
@@ -405,9 +338,10 @@ def _run_driver_inner(state: _WorkerState, run_id: int, blob: bytes) -> None:
         payload = _dumps(result)
     except Exception as exc:
         # A rank returned something even cloudpickle cannot ship; degrade
-        # to a reported failure rather than wedging the whole run.
-        result["values"] = [None for _ in my_ranks]
-        result["traces"] = [Trace(r, enabled=False) for r in my_ranks]
+        # to a reported failure (the parent then raises, never reading
+        # values or traces) rather than wedging the whole run.
+        result["values"] = [None] * len(my_ranks)
+        result["traces"] = [None] * len(my_ranks)
         result["failures"] = [
             (my_ranks[0], RuntimeError(f"rank return value is not picklable: {exc}"))
         ]
@@ -444,12 +378,11 @@ def worker_main(parent: Connection, slot: int) -> None:
         if kind == "shutdown":
             return
         if kind == "run":
-            _, run_id, blob = msg
             threading.Thread(
                 target=_run_driver,
-                args=(state, run_id, blob),
+                args=(state, *msg[1:]),
                 daemon=True,
-                name=f"spmd-run-{run_id}",
+                name=f"spmd-run-{msg[1]}",
             ).start()
         elif kind == "abort":
             run_id = msg[1]
