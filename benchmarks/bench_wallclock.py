@@ -1,453 +1,66 @@
 #!/usr/bin/env python
-"""Wall-clock performance harness for the functional layer.
+"""Same-host wall-clock A/B checks.
 
-Times how long the *host* (wall-clock seconds, ``time.perf_counter``)
-takes to execute the five paper apps' functional runs — as opposed to the
-virtual (simulated) time every other benchmark reports.  The two are
-strictly separated: optimizations measured here must leave every virtual
-makespan bit-for-bit unchanged (asserted by recording both).
+``perfbench/run.py`` is the repo's wall-clock benchmark.  This script
+keeps only the three checks whose verdict is portable because each
+compares two arms timed on the same host, interleaved, best-of-N:
 
-Outputs a machine-readable JSON record (``BENCH_wallclock.json`` at the
-repo root holds the committed trajectory) so per-PR regressions are
-visible::
+- ``obs_overhead`` — a single-rank heat3d run with and without per-rank
+  :class:`repro.obs.Recorder` instances; instrumented over plain must be
+  at most ``1 + OBS_OVERHEAD_THRESHOLD``.
+- ``threads_vs_processes`` — the 384-rank MPI Kmeans baseline on both
+  SPMD backends; processes must not be slower than threads on a host
+  with more than one core.
+- ``campaign_throughput`` — a small sweep through
+  :class:`~repro.campaign.runner.CampaignRunner` against the same specs
+  run one ``execute_job`` at a time; batched must not be slower than
+  sequential on more than one core, and a warm re-run over a persistent
+  store must execute zero jobs.
 
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --mode smoke
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --mode full --out BENCH_wallclock.json
+Each check also asserts its virtual-time contract (obs on/off makespans
+equal, backend makespans equal, campaign makespans equal to direct runs)
+and raises ``AssertionError`` if it breaks.  The script takes no options::
 
-Each timed case reports:
+    PYTHONPATH=src python benchmarks/bench_wallclock.py
 
-- ``wall_s``     — best-of-N wall seconds for the whole functional run
-- ``makespan``   — the virtual makespan of the same run (regression canary)
-
-plus micro-benchmarks isolating the paths this harness exists to watch:
-the stencil step loop (Sobel/Heat3D), the fused stencil+reduce
-convergence loop (Jacobi2D), the temporal-blocking A/B on the
-latency-dominated preset (``stencil_timeblock``, monotonicity asserted),
-the irregular-reduction step loop
-(Moldyn/MiniMD), the Kmeans emit path, the comm-fabric ping-pong hot
-path, the 384-rank per-core MPI baseline (``baseline_ranks``), and the
-campaign engine A/B (``campaign_throughput``: batched sweep vs sequential
-per-job execution, with a zero-execution warm-re-run gate).
+It prints a JSON record of every arm's walls with a host fingerprint,
+then one ``FAIL`` line per failed gate, and exits 1 if any gate failed.
+Absolute walls are a record of this host only and are never gated.
+The virtual outputs of the workloads are pinned separately and replayed
+exactly by ``tests/integration/test_bench_wallclock.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import platform
-import subprocess
-import sys
+import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.apps import heat3d, kmeans, minimd, moldyn, sobel
-from repro.apps.extra import jacobi2d
+from repro.apps import heat3d, kmeans
 from repro.cluster.presets import ohio_cluster
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Allowed instrumented-over-uninstrumented wall-clock ratio overhead.
+OBS_OVERHEAD_THRESHOLD = 0.05
+
+#: One rank (the engine's inline path) on a grid large enough that the
+#: run sits well above the timer noise floor: multi-rank runs carry
+#: thread-rendezvous jitter far above 5%, which would make the gate flaky.
+OBS_CONFIG = heat3d.Heat3DConfig(functional_shape=(96, 96, 96), simulated_steps=8)
+
+#: The paper-scale per-core MPI baseline: 32 nodes x 12 ranks per node.
+BASELINE_NODES = 32
+BASELINE_CONFIG = kmeans.KmeansConfig(functional_points=96_000, iterations=2)
 
 
-def _configs(mode: str) -> dict:
-    """Workload sizes per mode; smoke keeps CI latency low."""
-    if mode == "smoke":
-        return {
-            "repeats": 2,
-            "step_repeats": 3,
-            "kmeans": kmeans.KmeansConfig(functional_points=60_000, iterations=1),
-            "sobel": sobel.SobelConfig(functional_shape=(384, 384), simulated_steps=3),
-            "heat3d": heat3d.Heat3DConfig(functional_shape=(36, 36, 36), simulated_steps=3),
-            "minimd": minimd.MiniMDConfig(functional_cells=8, simulated_steps=3),
-            "moldyn": moldyn.MoldynConfig(functional_nodes=4_000, simulated_steps=3),
-            # Step-loop microbenches run more steps than the app defaults so
-            # the signal dominates thread-scheduling jitter.
-            "sobel_steps": sobel.SobelConfig(functional_shape=(384, 384), simulated_steps=8),
-            "heat3d_steps": heat3d.Heat3DConfig(
-                functional_shape=(36, 36, 36), simulated_steps=8
-            ),
-            # The IR step cases keep the apps' default mesh sizes even in
-            # smoke mode: on the reduced meshes the loop is dominated by
-            # the per-step rank rendezvous, not the reduction path this
-            # case exists to watch (fewer repeats keep CI latency flat).
-            "moldyn_steps": moldyn.MoldynConfig(simulated_steps=8),
-            "minimd_steps": minimd.MiniMDConfig(simulated_steps=8),
-            # Convergence loop: small grid + loose tol keeps the iteration
-            # count (and CI latency) modest while still exercising the
-            # fused-residual / speculative-halo path for dozens of steps.
-            "stencil_converge": jacobi2d.Jacobi2DConfig(
-                shape=(32, 32), tol=1e-3, max_iters=200
-            ),
-            # Temporal blocking: fixed sweep count (tol below reach) so
-            # every k runs identical math; the latency-heavy preset makes
-            # the per-message alpha the dominant term k amortizes.
-            "stencil_timeblock": jacobi2d.Jacobi2DConfig(
-                shape=(48, 48), tol=1e-12, max_iters=24
-            ),
-            "ir_step_repeats": 2,
-            "nodes": 4,
-            # Comm-fabric cases: a 2-rank ping-pong isolating the
-            # send/match/wakeup hot path, and the paper-scale 384-rank
-            # per-core MPI baseline that stresses sharded mailboxes, the
-            # rank-thread pool, and dataset memoization together.
-            "pingpong_msgs": 2_000,
-            "baseline_ranks_nodes": 32,
-            "baseline_ranks": kmeans.KmeansConfig(functional_points=96_000, iterations=2),
-            # Campaign A/B: small per-point workloads — the case watches the
-            # engine's dispatch/batching overhead, not the kernels.
-            "campaign_heat3d": heat3d.Heat3DConfig(
-                functional_shape=(24, 24, 24), simulated_steps=2
-            ),
-            "campaign_kmeans": kmeans.KmeansConfig(functional_points=20_000, iterations=1),
-        }
-    return {
-        "repeats": 3,
-        "step_repeats": 5,
-        "ir_step_repeats": 3,
-        "kmeans": kmeans.KmeansConfig(functional_points=200_000, iterations=1),
-        "sobel": sobel.SobelConfig(),
-        "heat3d": heat3d.Heat3DConfig(),
-        "minimd": minimd.MiniMDConfig(),
-        "moldyn": moldyn.MoldynConfig(),
-        "sobel_steps": sobel.SobelConfig(simulated_steps=15),
-        "heat3d_steps": heat3d.Heat3DConfig(simulated_steps=20),
-        "moldyn_steps": moldyn.MoldynConfig(simulated_steps=10),
-        "minimd_steps": minimd.MiniMDConfig(simulated_steps=10),
-        "stencil_converge": jacobi2d.Jacobi2DConfig(),
-        "stencil_timeblock": jacobi2d.Jacobi2DConfig(
-            shape=(64, 64), tol=1e-12, max_iters=48
-        ),
-        "nodes": 4,
-        "pingpong_msgs": 5_000,
-        "baseline_ranks_nodes": 32,
-        "baseline_ranks": kmeans.KmeansConfig(functional_points=96_000, iterations=3),
-        "campaign_heat3d": heat3d.Heat3DConfig(
-            functional_shape=(36, 36, 36), simulated_steps=3
-        ),
-        "campaign_kmeans": kmeans.KmeansConfig(functional_points=60_000, iterations=1),
-    }
+def campaign_spec():
+    """The campaign A/B sweep: small points, so dispatch dominates."""
+    from repro.campaign import CampaignSpec
 
-
-def _best_of(repeats: int, fn):
-    """Run ``fn`` ``repeats`` times; return (best wall seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-APPS = {"kmeans": kmeans, "sobel": sobel, "heat3d": heat3d, "minimd": minimd, "moldyn": moldyn}
-
-
-def bench_apps(cfg: dict, names: tuple[str, ...] = tuple(APPS)) -> dict:
-    """Time the paper apps' full functional executions (all five by default)."""
-    cluster = ohio_cluster(cfg["nodes"])
-    cases = {}
-    for name in names:
-        mod = APPS[name]
-        wall, run = _best_of(cfg["repeats"], lambda m=mod, n=name: m.run(cluster, cfg[n]))
-        cases[name] = {"wall_s": round(wall, 4), "makespan": run.makespan}
-    return cases
-
-
-def bench_stencil_steps(cfg: dict) -> dict:
-    """Isolate the stencil step loop: wall seconds per Sobel/Heat3D step."""
-    from repro.core.env import RuntimeEnv
-    from repro.sim.engine import spmd_run
-
-    out = {}
-    for name, mod, config in [
-        ("sobel_steps", sobel, cfg["sobel_steps"]),
-        ("heat3d_steps", heat3d, cfg["heat3d_steps"]),
-    ]:
-        def prog(ctx, mod=mod, config=config):
-            env = RuntimeEnv(ctx, "cpu+2gpu")
-            st = env.get_stencil()
-            parameter = None if mod is sobel else heat3d.ALPHA
-            st.configure(
-                mod.make_kernel(ctx.node),
-                config.functional_shape,
-                model_shape=config.shape,
-                parameter=parameter,
-            )
-            if mod is sobel:
-                from repro.data.grids import synthetic_image
-
-                st.set_global_grid(synthetic_image(config.functional_shape, seed=config.seed))
-            else:
-                from repro.data.grids import heat3d_initial
-
-                st.set_global_grid(heat3d_initial(config.functional_shape, seed=config.seed))
-            t0 = time.perf_counter()
-            st.run(config.simulated_steps)
-            return time.perf_counter() - t0, ctx.clock.now
-
-        cluster = ohio_cluster(cfg["nodes"])
-        step_wall = float("inf")
-        makespan = None
-        for _ in range(cfg["step_repeats"]):
-            res = spmd_run(prog, cluster)
-            step_wall = min(step_wall, max(v[0] for v in res.values))
-            makespan = res.makespan
-        out[name] = {
-            "wall_s": round(step_wall, 4),
-            "makespan": makespan,
-        }
-    return out
-
-
-def bench_stencil_converge(cfg: dict) -> dict:
-    """Isolate the fused stencil+reduce convergence loop (Jacobi2D).
-
-    Watches the ``run_until`` hot path: the in-sweep residual, the
-    speculative next-step halo exchange, and the coalesced per-neighbour
-    messages.  The makespan pins the overlap accounting; the iteration
-    count is recorded so a convergence change (different stop point) is
-    distinguishable from a pure wall-clock regression.
-    """
-    cluster = ohio_cluster(cfg["nodes"])
-    config = cfg["stencil_converge"]
-    wall, run = _best_of(
-        cfg["step_repeats"], lambda: jacobi2d.run(cluster, config, mix="cpu+2gpu")
-    )
-    return {
-        "stencil_converge": {
-            "wall_s": round(wall, 4),
-            "makespan": run.makespan,
-            "iterations": run.spmd.values[0]["iterations"],
-        }
-    }
-
-
-def bench_stencil_timeblock(cfg: dict) -> dict:
-    """Temporal-blocking A/B on the latency-dominated preset (Jacobi2D).
-
-    Interleaved best-of repeats over k in {1, 2, 4} so machine noise hits
-    every variant alike.  Asserts the virtual-makespan monotonicity the
-    feature exists for — each doubling of k must strictly shrink the
-    latency-preset makespan — and records the k=4 makespan as the
-    bit-identity canary (``makespan``) with the k=1/k=2 spans alongside.
-    """
-    from repro.cluster.presets import latency_cluster
-
-    cluster = latency_cluster(2)
-    config = cfg["stencil_timeblock"]
-    walls = {1: float("inf"), 2: float("inf"), 4: float("inf")}
-    spans: dict[int, float] = {}
-    for _ in range(cfg["step_repeats"]):
-        for k in (1, 2, 4):
-            t0 = time.perf_counter()
-            run = jacobi2d.run(cluster, config, mix="cpu", time_block=k)
-            walls[k] = min(walls[k], time.perf_counter() - t0)
-            spans[k] = run.makespan
-    if not spans[4] < spans[2] < spans[1]:
-        raise AssertionError(
-            f"temporal blocking must be monotone on the latency preset: "
-            f"k=1 {spans[1]!r}, k=2 {spans[2]!r}, k=4 {spans[4]!r}"
-        )
-    return {
-        "stencil_timeblock": {
-            "wall_s": round(walls[4], 4),
-            "makespan": spans[4],
-            "makespan_k1": spans[1],
-            "makespan_k2": spans[2],
-        }
-    }
-
-
-def bench_ir_steps(cfg: dict) -> dict:
-    """Isolate the irregular-reduction step loop (Moldyn/MiniMD).
-
-    The MD rank programs time their own ``start`` / ``get_local_reduction``
-    / ``update_nodedata`` loop (``wall_steps`` in their result dicts), so
-    the number excludes mesh generation and runtime setup and moves only
-    when the IR hot path changes.  Reports the slowest rank's loop, best
-    over repeats, plus the run's virtual makespan as the regression canary.
-    """
-    cluster = ohio_cluster(cfg["nodes"])
-    out = {}
-    for name, mod in [("moldyn_steps", moldyn), ("minimd_steps", minimd)]:
-        step_wall = float("inf")
-        makespan = None
-        for _ in range(cfg["ir_step_repeats"]):
-            run = mod.run(cluster, cfg[name])
-            step_wall = min(step_wall, max(v["wall_steps"] for v in run.result))
-            makespan = run.makespan
-        out[name] = {"wall_s": round(step_wall, 4), "makespan": makespan}
-    return out
-
-
-def bench_kmeans_emit(cfg: dict) -> dict:
-    """Isolate the Kmeans emit path: the batched kernel over all chunks.
-
-    Replays exactly the chunk sizes the GR runtime would schedule, without
-    the SPMD machinery, so this number moves only when the emit math or the
-    reduction-object insert path changes.
-    """
-    from repro.core.reduction_object import DenseReductionObject
-    from repro.data.points import clustered_points
-
-    config = cfg["kmeans"]
-    points, _ = clustered_points(config.functional_points, config.k, config.dims, seed=config.seed)
-    centers = points[: config.k].astype(np.float64)
-    emit = kmeans.make_emit(config)
-    n = len(points)
-    chunk = max(16, n // 512)
-
-    def run_emit():
-        obj = DenseReductionObject(config.k, config.dims + 1, "sum", np.float64)
-        for start in range(0, n, chunk):
-            emit(obj, points[start : start + chunk], start, centers)
-        return obj.as_array().copy()
-
-    wall, values = _best_of(cfg["repeats"], run_emit)
-    return {
-        "kmeans_emit": {
-            "wall_s": round(wall, 4),
-            "checksum": float(np.sum(values)),
-        }
-    }
-
-
-def bench_fabric_comm(cfg: dict) -> dict:
-    """Comm-fabric hot-path cases.
-
-    ``fabric_pingpong`` bounces ``pingpong_msgs`` round trips between two
-    ranks on one node, so the number moves only with the per-message cost
-    of ``transmit``/``match`` (shard lock, index probe, targeted wakeup)
-    plus the unavoidable thread handoff per rendezvous.
-
-    ``baseline_ranks`` runs the paper-scale hand-written MPI Kmeans —
-    32 nodes x 12 ranks per node = 384 rank threads — end to end.  This is
-    the case the sharded fabric exists for: per-rank mailbox locks, O(1)
-    specific-source matching, pooled rank threads, and memoized input
-    generation all land here.  Both report the virtual makespan as the
-    bit-identity canary.
-    """
-    from repro.apps.baselines import mpi_kmeans
-    from repro.sim.engine import spmd_run
-
-    n_msgs = cfg["pingpong_msgs"]
-
-    def pingpong(ctx, n=n_msgs):
-        peer = 1 - ctx.rank
-        t0 = time.perf_counter()
-        if ctx.rank == 0:
-            for i in range(n):
-                ctx.comm.send(i, peer, tag=1)
-                ctx.comm.recv(source=peer, tag=2)
-        else:
-            for _ in range(n):
-                val = ctx.comm.recv(source=peer, tag=1)
-                ctx.comm.send(val, peer, tag=2)
-        return time.perf_counter() - t0
-
-    cluster = ohio_cluster(1)
-    wall = float("inf")
-    makespan = None
-    for _ in range(cfg["repeats"]):
-        res = spmd_run(pingpong, cluster, ranks_per_node=2)
-        wall = min(wall, max(res.values))
-        makespan = res.makespan
-    out = {"fabric_pingpong": {"wall_s": round(wall, 4), "makespan": makespan}}
-
-    # Best-of-3 minimum: a ~1 s 384-thread run sees far more scheduler
-    # noise than the sub-100 ms cases, and the CI gate compares walls.
-    ranks_cluster = ohio_cluster(cfg["baseline_ranks_nodes"])
-    b_wall, b_run = _best_of(
-        max(cfg["repeats"], 3), lambda: mpi_kmeans.run(ranks_cluster, cfg["baseline_ranks"])
-    )
-    out["baseline_ranks"] = {
-        "wall_s": round(b_wall, 4),
-        "makespan": b_run.makespan,
-        "ranks": ranks_cluster.num_nodes * ranks_cluster.node.cpu.cores,
-    }
-    return out
-
-
-def bench_threads_vs_processes(cfg: dict) -> dict:
-    """A/B the SPMD backends on the paper-scale 384-rank Kmeans baseline.
-
-    Interleaved best-of-3 (t, p, t, p, t, p) so machine noise hits both
-    backends alike, exactly like ``fabric_before_after`` did for the
-    sharded fabric.  Virtual makespans must be bit-identical — that is the
-    backend's contract — and are asserted here, not just recorded.
-
-    The process backend is forced to at least two workers so the
-    cross-process bridge is really measured; on a single-core host that
-    honestly shows the bridge's overhead without the parallelism that pays
-    for it, so the CI gate (:func:`compare`) only requires processes to
-    beat threads when ``cores`` > 1.
-    """
-    import os
-
-    from repro.apps.baselines import mpi_kmeans
-
-    cluster = ohio_cluster(cfg["baseline_ranks_nodes"])
-    config = cfg["baseline_ranks"]
-    cores = os.cpu_count() or 1
-    workers = max(2, cores)
-
-    t_wall = p_wall = float("inf")
-    t_span = p_span = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        t_run = mpi_kmeans.run(cluster, config, backend="threads")
-        t_wall = min(t_wall, time.perf_counter() - t0)
-        t_span = t_run.makespan
-        t0 = time.perf_counter()
-        p_run = mpi_kmeans.run(cluster, config, backend="processes", workers=workers)
-        p_wall = min(p_wall, time.perf_counter() - t0)
-        p_span = p_run.makespan
-    if repr(t_span) != repr(p_span):
-        raise AssertionError(
-            f"backends disagree on the virtual makespan: "
-            f"threads {t_span!r} vs processes {p_span!r}"
-        )
-    return {
-        "threads_vs_processes": {
-            "threads_wall_s": round(t_wall, 4),
-            "processes_wall_s": round(p_wall, 4),
-            "speedup": round(t_wall / max(p_wall, 1e-9), 4),
-            "makespan": t_span,
-            "cores": cores,
-            "workers": workers,
-        }
-    }
-
-
-def bench_campaign_throughput(cfg: dict) -> dict:
-    """A/B the campaign engine against sequential per-job execution.
-
-    The batched arm runs the whole sweep through
-    :class:`~repro.campaign.runner.CampaignRunner` (one ``submit_many``,
-    widest-first ordering, dataset pre-warm, concurrent dispatch under the
-    rank budget); the sequential arm executes the same specs one
-    ``execute_job`` at a time — the pre-campaign workflow.  Interleaved
-    best-of-3 so machine noise hits both arms alike.
-
-    Two hard assertions, host-independent:
-
-    - every per-point virtual makespan is bit-identical across arms (the
-      campaign engine must never touch simulated physics), and
-    - a warm re-run over a fresh persistent store executes **zero** jobs
-      (``warm_rerun_executed``, gated at 0 in :func:`compare`).
-
-    The speed gate (batched >= sequential) applies only on multi-core
-    hosts, like ``threads_vs_processes``: with one core the concurrent arm
-    honestly shows scheduling overhead without the parallelism that pays
-    for it.
-    """
-    import os
-    import tempfile
-
-    from repro.campaign import CampaignRunner, CampaignSpec
-    from repro.serve import execute_job
-
-    campaign = CampaignSpec.from_dict(
+    return CampaignSpec.from_dict(
         {
             "name": "bench",
             "axes": {
@@ -458,41 +71,112 @@ def bench_campaign_throughput(cfg: dict) -> dict:
                 "seed": [0, 1],
             },
             "app_params": {
-                "heat3d": {
-                    "functional_shape": list(cfg["campaign_heat3d"].functional_shape),
-                    "simulated_steps": cfg["campaign_heat3d"].simulated_steps,
-                },
-                "kmeans": {
-                    "functional_points": cfg["campaign_kmeans"].functional_points,
-                    "iterations": cfg["campaign_kmeans"].iterations,
-                },
+                "heat3d": {"functional_shape": [24, 24, 24], "simulated_steps": 2},
+                "kmeans": {"functional_points": 20_000, "iterations": 1},
             },
             "backend": None,  # identical engine path in both arms
         }
     )
-    specs = campaign.expand()
-    cores = os.cpu_count() or 1
 
-    seq_wall = bat_wall = float("inf")
-    seq_spans = bat_spans = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        seq_results = [execute_job(spec) for spec in specs]
-        seq_wall = min(seq_wall, time.perf_counter() - t0)
-        seq_spans = [r["makespan"] for r in seq_results]
-        t0 = time.perf_counter()
-        run = CampaignRunner(campaign, store=None, rank_budget=64).run()
-        bat_wall = min(bat_wall, time.perf_counter() - t0)
-        if not run.ok:
-            raise AssertionError(f"campaign arm failed: {run.failures()}")
-        bat_spans = [row["makespan"] for row in run.rows]
+
+def _interleaved(repeats: int, **arms):
+    """Run every arm once per round for ``repeats`` rounds.
+
+    Interleaving makes machine noise hit all arms alike.  Returns each
+    arm's best wall seconds and its last result.
+    """
+    walls = dict.fromkeys(arms, float("inf"))
+    results = {}
+    for _ in range(repeats):
+        for name, fn in arms.items():
+            t0 = time.perf_counter()
+            results[name] = fn()
+            walls[name] = min(walls[name], time.perf_counter() - t0)
+    return walls, results
+
+
+def check_obs_overhead() -> dict:
+    """Instrumented vs uninstrumented heat3d, interleaved best-of-7."""
+    from repro.obs import Recorder
+
+    cluster = ohio_cluster(1)
+    walls, runs = _interleaved(
+        7,
+        plain=lambda: heat3d.run(cluster, OBS_CONFIG),
+        instrumented=lambda: heat3d.run(cluster, OBS_CONFIG, recorder_factory=Recorder),
+    )
+    plain, inst = runs["plain"].makespan, runs["instrumented"].makespan
+    if inst != plain:
+        raise AssertionError(
+            f"instrumentation changed the virtual makespan: {plain!r} -> {inst!r}"
+        )
+    return {
+        "plain_wall_s": round(walls["plain"], 4),
+        "instrumented_wall_s": round(walls["instrumented"], 4),
+        "overhead_ratio": round(walls["instrumented"] / max(walls["plain"], 1e-9), 4),
+    }
+
+
+def check_threads_vs_processes() -> dict:
+    """Both SPMD backends on the 384-rank Kmeans baseline, interleaved best-of-3.
+
+    The process backend is forced to at least two workers so the
+    cross-process bridge is really measured; on a single-core host that
+    shows the bridge's overhead without the parallelism that pays for
+    it, so the speed gate applies only with more than one core.
+    """
+    from repro.apps.baselines import mpi_kmeans
+
+    cluster = ohio_cluster(BASELINE_NODES)
+    workers = max(2, os.cpu_count() or 1)
+    walls, runs = _interleaved(
+        3,
+        threads=lambda: mpi_kmeans.run(cluster, BASELINE_CONFIG, backend="threads"),
+        processes=lambda: mpi_kmeans.run(
+            cluster, BASELINE_CONFIG, backend="processes", workers=workers
+        ),
+    )
+    t_span, p_span = runs["threads"].makespan, runs["processes"].makespan
+    if repr(t_span) != repr(p_span):
+        raise AssertionError(
+            f"backends disagree on the virtual makespan: "
+            f"threads {t_span!r} vs processes {p_span!r}"
+        )
+    return {
+        "threads_wall_s": round(walls["threads"], 4),
+        "processes_wall_s": round(walls["processes"], 4),
+        "speedup": round(walls["threads"] / max(walls["processes"], 1e-9), 4),
+        "workers": workers,
+    }
+
+
+def check_campaign_throughput() -> dict:
+    """Batched campaign vs sequential ``execute_job``, interleaved best-of-3.
+
+    Then a cold fill and a warm re-run over one persistent store: the
+    warm run must be answered entirely from the store.
+    """
+    from repro.campaign import CampaignRunner
+    from repro.serve import execute_job
+
+    campaign = campaign_spec()
+    specs = campaign.expand()
+    walls, runs = _interleaved(
+        3,
+        sequential=lambda: [execute_job(spec) for spec in specs],
+        batched=lambda: CampaignRunner(campaign, store=None, rank_budget=64).run(),
+    )
+    batched = runs["batched"]
+    if not batched.ok:
+        raise AssertionError(f"campaign arm failed: {batched.failures()}")
+    seq_spans = [r["makespan"] for r in runs["sequential"]]
+    bat_spans = [row["makespan"] for row in batched.rows]
     if repr(seq_spans) != repr(bat_spans):
         raise AssertionError(
             f"campaign makespans drifted from direct execution: "
             f"{seq_spans!r} vs {bat_spans!r}"
         )
 
-    # Persistence phase: cold fill then warm re-run over one store.
     with tempfile.TemporaryDirectory() as store:
         cold = CampaignRunner(campaign, store=store, rank_budget=64).run()
         warm = CampaignRunner(campaign, store=store, rank_budget=64).run()
@@ -501,243 +185,82 @@ def bench_campaign_throughput(cfg: dict) -> dict:
             f"cold campaign executed {cold.stats['executed']} of {len(specs)}"
         )
     return {
-        "campaign_throughput": {
-            "batched_wall_s": round(bat_wall, 4),
-            "sequential_wall_s": round(seq_wall, 4),
-            "speedup": round(seq_wall / max(bat_wall, 1e-9), 4),
-            "jobs": len(specs),
-            "cores": cores,
-            "warm_rerun_executed": warm.stats["executed"],
-            "warm_store_hits": warm.stats["store_hits"],
-            "makespan": bat_spans,
-        }
+        "sequential_wall_s": round(walls["sequential"], 4),
+        "batched_wall_s": round(walls["batched"], 4),
+        "speedup": round(walls["sequential"] / max(walls["batched"], 1e-9), 4),
+        "jobs": len(specs),
+        "warm_rerun_executed": warm.stats["executed"],
+        "warm_store_hits": warm.stats["store_hits"],
     }
 
 
-def bench_obs_overhead(cfg: dict) -> dict:
-    """Instrumented vs uninstrumented wall clock for one functional run.
-
-    The observability layer must be near-free: runs measure heat3d with and
-    without per-rank :class:`repro.obs.Recorder` instances *interleaved*
-    (so machine noise hits both alike), report best-of walls for each, and
-    require the virtual makespans to be bit-identical.  CI gates
-    ``overhead_ratio`` at 1 + _OBS_OVERHEAD_THRESHOLD.
-
-    Runs a single rank (the engine's inline path) on a larger grid than the
-    other smoke cases: multi-rank runs carry thread-rendezvous jitter far
-    above 5%, and a sub-10ms run sits in the timer noise floor — either
-    would make a 5% gate flaky no matter how the real overhead moved.
-    """
-    from repro.obs import Recorder
-
-    cluster = ohio_cluster(1)
-    config = heat3d.Heat3DConfig(functional_shape=(96, 96, 96), simulated_steps=8)
-    plain_wall = inst_wall = float("inf")
-    plain_run = inst_run = None
-    for _ in range(max(cfg["repeats"], 7)):
-        t0 = time.perf_counter()
-        plain_run = heat3d.run(cluster, config)
-        plain_wall = min(plain_wall, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        inst_run = heat3d.run(cluster, config, recorder_factory=Recorder)
-        inst_wall = min(inst_wall, time.perf_counter() - t0)
-    if inst_run.makespan != plain_run.makespan:
-        raise AssertionError(
-            f"instrumentation changed the virtual makespan: "
-            f"{plain_run.makespan!r} -> {inst_run.makespan!r}"
-        )
+def collect() -> dict:
     return {
-        "obs_overhead": {
-            "wall_s": round(inst_wall, 4),
-            "base_wall_s": round(plain_wall, 4),
-            "overhead_ratio": round(inst_wall / max(plain_wall, 1e-9), 4),
-            "makespan": inst_run.makespan,
-        }
+        "host": {
+            "cpus": os.cpu_count() or 1,
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "checks": {
+            # The 5%-gated obs check runs before the 384-thread backend A/B
+            # so the many-rank churn cannot perturb its measurement.
+            "obs_overhead": check_obs_overhead(),
+            "threads_vs_processes": check_threads_vs_processes(),
+            "campaign_throughput": check_campaign_throughput(),
+        },
     }
 
 
-def collect(mode: str) -> dict:
-    cfg = _configs(mode)
-    record = {
-        "mode": mode,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "git": _git_rev(),
-        "cases": {},
-    }
-    record["cases"].update(bench_apps(cfg))
-    record["cases"].update(bench_stencil_steps(cfg))
-    record["cases"].update(bench_stencil_converge(cfg))
-    record["cases"].update(bench_stencil_timeblock(cfg))
-    record["cases"].update(bench_ir_steps(cfg))
-    record["cases"].update(bench_kmeans_emit(cfg))
-    # The 5%-gated obs case runs before the 384-thread fabric cases so the
-    # many-rank churn can't perturb its interleaved A/B measurement.
-    record["cases"].update(bench_obs_overhead(cfg))
-    record["cases"].update(bench_fabric_comm(cfg))
-    record["cases"].update(bench_threads_vs_processes(cfg))
-    record["cases"].update(bench_campaign_throughput(cfg))
-    return record
+def gate_failures(record: dict) -> list[str]:
+    """The same-host gates over a :func:`collect` record, as failure lines.
 
-
-def _git_rev() -> str:
-    """Short HEAD revision, with a ``-dirty`` suffix for unclean trees.
-
-    The committed baseline's ``git`` field is its provenance: it must name
-    the commit whose code produced the numbers.  A record refreshed while
-    the tree had uncommitted changes is stamped ``-dirty`` so the smoke
-    check (:func:`compare`) rejects it as a baseline — refresh the JSON
-    *after* committing the code change it measures.
+    The two speed gates apply only on a host with more than one core:
+    with one core the concurrent arm shows its overhead without the
+    parallelism that pays for it.
     """
-    try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        return f"{rev}-dirty" if status else rev
-    except Exception:
-        return "unknown"
-
-
-#: Allowed instrumented-over-uninstrumented wall-clock ratio overhead.
-_OBS_OVERHEAD_THRESHOLD = 0.05
-
-
-def load_baseline(path: Path) -> dict:
-    """Read a baseline record, or raise ``ValueError`` naming the problem.
-
-    Called before any case runs, so a wrong ``--baseline`` path fails in
-    a second instead of after the whole collection.
-    """
-    try:
-        baseline = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read baseline {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"baseline {path} is not valid JSON: {exc}") from None
-    if not isinstance(baseline, dict) or not isinstance(baseline.get("cases"), dict):
-        raise ValueError(f"baseline {path} has no 'cases' object")
-    return baseline
-
-
-def compare(record: dict, baseline: dict, threshold: float) -> int:
-    """Fail (non-zero) on wall-clock regression beyond ``threshold``.
-
-    Virtual makespans must match the baseline exactly — any drift means an
-    optimization changed simulated physics, which is a bug regardless of
-    wall-clock wins.  The ``obs_overhead`` case additionally gates the
-    instrumented run at within 5% of the uninstrumented one (measured
-    within this run, so the gate needs no baseline entry).
-    """
-    base_cases = baseline["cases"]
+    cpus = record["host"]["cpus"]
+    checks = record["checks"]
     failures = []
-    base_git = baseline.get("git", "unknown")
-    if base_git == "unknown" or base_git.endswith("-dirty"):
+    obs = checks["obs_overhead"]
+    if obs["overhead_ratio"] > 1.0 + OBS_OVERHEAD_THRESHOLD:
         failures.append(
-            f"baseline provenance: git field is {base_git!r} — the committed "
-            "record must be stamped with the clean commit that produced it "
-            "(refresh the JSON after committing the code change)"
+            f"obs_overhead: instrumented run {obs['instrumented_wall_s']}s vs "
+            f"{obs['plain_wall_s']}s plain ({obs['overhead_ratio']:.3f}x, "
+            f"threshold {1.0 + OBS_OVERHEAD_THRESHOLD:.2f}x)"
         )
-    over = record["cases"].get("obs_overhead")
-    if over is not None and over["overhead_ratio"] > 1.0 + _OBS_OVERHEAD_THRESHOLD:
+    ab = checks["threads_vs_processes"]
+    if cpus > 1 and ab["processes_wall_s"] > ab["threads_wall_s"]:
         failures.append(
-            f"obs_overhead: instrumented run {over['wall_s']}s vs "
-            f"{over['base_wall_s']}s uninstrumented "
-            f"({over['overhead_ratio']:.3f}x, "
-            f"threshold {1.0 + _OBS_OVERHEAD_THRESHOLD:.2f}x)"
+            f"threads_vs_processes: process backend slower than threads on a "
+            f"{cpus}-core host ({ab['processes_wall_s']}s vs "
+            f"{ab['threads_wall_s']}s, {ab['speedup']:.2f}x)"
         )
-    ab = record["cases"].get("threads_vs_processes")
-    if ab is not None:
-        if ab["cores"] > 1 and ab["processes_wall_s"] > ab["threads_wall_s"]:
-            failures.append(
-                f"threads_vs_processes: process backend slower than threads on a "
-                f"{ab['cores']}-core host ({ab['processes_wall_s']}s vs "
-                f"{ab['threads_wall_s']}s, {ab['speedup']:.2f}x)"
-            )
-        elif ab["cores"] <= 1:
-            print(
-                "SKIP threads_vs_processes speed gate: single-core host "
-                f"(speedup {ab['speedup']:.2f}x recorded, not gated)"
-            )
-    camp = record["cases"].get("campaign_throughput")
-    if camp is not None:
-        if camp["warm_rerun_executed"] != 0:
-            failures.append(
-                f"campaign_throughput: warm re-run executed "
-                f"{camp['warm_rerun_executed']} job(s); the persistent store "
-                "must answer every repeated point"
-            )
-        if camp["cores"] > 1 and camp["batched_wall_s"] > camp["sequential_wall_s"]:
-            failures.append(
-                f"campaign_throughput: batched campaign slower than sequential "
-                f"execution on a {camp['cores']}-core host "
-                f"({camp['batched_wall_s']}s vs {camp['sequential_wall_s']}s, "
-                f"{camp['speedup']:.2f}x)"
-            )
-        elif camp["cores"] <= 1:
-            print(
-                "SKIP campaign_throughput speed gate: single-core host "
-                f"(speedup {camp['speedup']:.2f}x recorded, not gated)"
-            )
-    for name, case in record["cases"].items():
-        base = base_cases.get(name)
-        if base is None:
-            continue
-        if "makespan" in case and "makespan" in base:
-            if case["makespan"] != base["makespan"]:
-                failures.append(
-                    f"{name}: virtual makespan drifted "
-                    f"{base['makespan']!r} -> {case['makespan']!r}"
-                )
-        if "wall_s" not in case or "wall_s" not in base:
-            continue  # A/B cases carry per-variant walls, not a single wall_s
-        ratio = case["wall_s"] / max(base["wall_s"], 1e-9)
-        if ratio > 1.0 + threshold:
-            failures.append(
-                f"{name}: wall-clock regression {base['wall_s']}s -> {case['wall_s']}s "
-                f"({ratio:.2f}x, threshold {1.0 + threshold:.2f}x)"
-            )
-    for f in failures:
-        print(f"FAIL {f}")
-    return 1 if failures else 0
+    camp = checks["campaign_throughput"]
+    if camp["warm_rerun_executed"] != 0:
+        failures.append(
+            f"campaign_throughput: warm re-run executed "
+            f"{camp['warm_rerun_executed']} job(s); the persistent store "
+            "must answer every repeated point"
+        )
+    if cpus > 1 and camp["batched_wall_s"] > camp["sequential_wall_s"]:
+        failures.append(
+            f"campaign_throughput: batched campaign slower than sequential "
+            f"execution on a {cpus}-core host ({camp['batched_wall_s']}s vs "
+            f"{camp['sequential_wall_s']}s, {camp['speedup']:.2f}x)"
+        )
+    return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--mode", choices=["smoke", "full"], default="smoke")
-    ap.add_argument("--out", type=Path, default=None, help="write the JSON record here")
-    ap.add_argument(
-        "--baseline", type=Path, default=None, help="compare against this record and fail on regression"
-    )
-    ap.add_argument(
-        "--threshold", type=float, default=0.25, help="allowed fractional wall-clock regression"
-    )
-    args = ap.parse_args(argv)
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    record = collect(args.mode)
+def main() -> int:
+    record = collect()
     print(json.dumps(record, indent=2))
-    if args.out:
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-    if baseline is not None:
-        return compare(record, baseline, args.threshold)
-    return 0
+    if record["host"]["cpus"] <= 1:
+        print("SKIP speed gates: single-core host (speedups recorded, not gated)")
+    failures = gate_failures(record)
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -400,8 +400,6 @@ class JobScheduler:
             return True
 
     def stats(self) -> dict[str, Any]:
-        from repro.sim.engine import active_run_stats, rank_pool_stats
-
         with self._cond:
             by_state: dict[str, int] = {}
             for job in self._jobs.values():
@@ -438,8 +436,6 @@ class JobScheduler:
             }
         counters["cache"] = self.cache.stats()
         counters["job_pool"] = None if self._pool is None else self._pool.stats()
-        counters["rank_pool"] = rank_pool_stats()
-        counters["engine"] = active_run_stats()
         return counters
 
     def _lifecycle_locked(self) -> dict[str, Any]:

@@ -295,8 +295,9 @@ def rank_pool_stats() -> dict[str, int]:
 # are bit-identical whether runs execute back-to-back or interleaved.  The
 # shared state (the rank-thread pool above, the process-backend worker
 # pool, dataset memos) is either lock-protected or append-only.  The
-# counters below track how many runs/ranks are in flight right now; the
-# ``repro.serve`` job scheduler sizes its admission control against them.
+# counters below track how many runs/ranks are in flight in this process
+# right now; the ``repro.serve`` job scheduler admits jobs against its own
+# ``rank_budget``, not against them.
 _active_lock = threading.Lock()
 _active_runs = 0
 _active_ranks = 0

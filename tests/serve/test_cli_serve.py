@@ -79,7 +79,7 @@ def test_submit_no_wait_then_stats(capsys, live_server):
     assert main(["jobs", "--stats"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["rank_budget"] == 8
-    assert "cache" in stats and "engine" in stats
+    assert "cache" in stats and "job_pool" in stats
 
 
 def test_submit_rejects_bad_spec(live_server):

@@ -52,7 +52,7 @@ def test_healthz_and_stats(gated_server):
     assert client.healthy()
     stats = client.stats()
     assert stats["rank_budget"] == 4 and stats["jobs"] == 0
-    assert "cache" in stats and "engine" in stats
+    assert "cache" in stats and "job_pool" in stats
 
 
 def test_submit_status_queue_cancel_flow(gated_server):

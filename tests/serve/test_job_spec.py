@@ -1,9 +1,11 @@
-"""JobSpec validation, canonicalization, and content hashing."""
+"""JobSpec validation, canonicalization, content hashing, and execution."""
+
+import json
 
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkDegradation, MessageFaultRule, RankCrash
-from repro.serve.spec import JobSpec, build_cluster, served_app_names
+from repro.serve.spec import JobSpec, build_cluster, execute_job, served_app_names
 from repro.util.errors import ValidationError
 
 
@@ -198,3 +200,18 @@ def test_spec_hash_independent_of_fault_rule_order():
     assert a.content_hash() == b.content_hash()
     c = JobSpec(app="heat3d", fault_plan=FaultPlan(seed=4, rules=_rules()).to_dict())
     assert a.content_hash() != c.content_hash()
+
+
+# ---------------------------------------------------------------- execution
+@pytest.mark.parametrize(
+    "app, params",
+    [
+        ("moldyn", {"functional_nodes": 300, "simulated_steps": 2}),
+        ("minimd", {"functional_cells": 3, "simulated_steps": 2}),
+    ],
+)
+def test_execute_job_payload_is_reproducible(app, params):
+    """A payload is content-addressed: it must hold no host measurements."""
+    spec = JobSpec(app=app, nodes=2, preset="laptop", mix="cpu", params=params)
+    first = json.dumps(execute_job(spec), sort_keys=True)
+    assert json.dumps(execute_job(spec), sort_keys=True) == first
