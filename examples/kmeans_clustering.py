@@ -1,8 +1,9 @@
 """Kmeans on the framework — the paper's generalized-reduction application.
 
-User-level program: define the emit function, hand it to the GR runtime,
-iterate.  Partitioning, CPU/GPU scheduling, and the global combine are the
-framework's job.
+User-level program: define the emit function (one key and one value row
+per point), hand it to the GR runtime, iterate.  Partitioning, CPU/GPU
+scheduling, the scatter into reduction objects and the global combine are
+the framework's job.
 
 Usage:  python examples/kmeans_clustering.py
 """
@@ -19,12 +20,12 @@ from repro.sim import spmd_run
 CFG = KmeansConfig(functional_points=60_000, iterations=3)
 
 
-def kmeans_emit(obj, points, start, centers):
-    """gr_emit_fp: assign each point to its nearest center."""
+def kmeans_emit(points, index, centers):
+    """gr_emit_fp: key each point by its nearest center, value [x, y, z, 1]."""
     diff = points[:, None, :].astype(np.float64) - centers[None, :, :]
     keys = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
     values = np.concatenate([points, np.ones((len(points), 1))], axis=1)
-    obj.insert_many(keys, values)
+    return keys, values
 
 
 def main(ctx):

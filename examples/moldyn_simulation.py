@@ -34,16 +34,16 @@ def force_cmpt(obj, edges, edge_data, nodes, cutoff2):
     obj.insert_many(edges[:, 1], -f)
 
 
-def ke_emit(obj, nodes, start, _param):
-    """gr_emit_fp for the KE kernel."""
+def ke_emit(nodes, index, _param):
+    """gr_emit_fp for the KE kernel: every node's 0.5*|v|^2 under key 0."""
     v = nodes[:, 3:6]
-    obj.insert_many(np.zeros(len(nodes), dtype=np.int64), 0.5 * np.einsum("nd,nd->n", v, v))
+    return np.zeros(len(nodes), dtype=np.int64), 0.5 * np.einsum("nd,nd->n", v, v)
 
 
-def av_emit(obj, nodes, start, _param):
-    """gr_emit_fp for the AV kernel."""
-    obj.insert_many(np.zeros(len(nodes), dtype=np.int64),
-                    np.concatenate([nodes[:, 3:6], np.ones((len(nodes), 1))], axis=1))
+def av_emit(nodes, index, _param):
+    """gr_emit_fp for the AV kernel: velocity and a count under key 0."""
+    return (np.zeros(len(nodes), dtype=np.int64),
+            np.concatenate([nodes[:, 3:6], np.ones((len(nodes), 1))], axis=1))
 
 
 def main(ctx):

@@ -24,10 +24,10 @@ EDGES = EDGES[EDGES[:, 0] != EDGES[:, 1]]
 WEIGHTS = RNG.random(len(EDGES))
 
 
-def histogram_emit(obj, data, start, _param):
-    """gr_emit_fp: bin each value, count occurrences."""
+def histogram_emit(data, index, _param):
+    """gr_emit_fp: key each value by its bin, with a count of one."""
     keys = np.minimum((data * BINS).astype(int), BINS - 1)
-    obj.insert_many(keys, np.ones(len(data)))
+    return keys, np.ones(len(data))
 
 
 def weight_edges(obj, edges, weights, nodes, _param):

@@ -41,7 +41,7 @@ def rank_program(ctx: RankContext, config: fw_kmeans.KmeansConfig) -> np.ndarray
         ready = ctx.clock.now
         for start in range(0, len(points), chunk):
             block = points[start : start + chunk]
-            emit(obj, block, start, centers)
+            obj.insert_many(*emit(block, np.arange(start, start + len(block)), centers))
             execution = gpu.submit_chunk(
                 work, len(block) * scale, ready, localized=True, framework=False
             )

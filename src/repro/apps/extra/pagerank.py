@@ -100,8 +100,8 @@ def rank_program(
     gr = env.get_GR()
     gr.set_kernel(
         GRKernel(
-            lambda obj, deltas, start, p: emit_keys_batch(
-                obj, np.zeros(len(deltas), dtype=np.int64), np.abs(deltas[:, 0])
+            lambda deltas, index, p: (
+                np.zeros(len(deltas), dtype=np.int64), np.abs(deltas[:, 0])
             ),
             "sum",
             1,

@@ -26,7 +26,7 @@ from repro.apps.calibrate import calibrate_gpu_ratio
 from repro.apps.common import AppRun, check_functional_scale, sequential_time
 from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.core.env import DeviceConfig, RuntimeEnv
-from repro.core.api import GRKernel, emit_keys_batch
+from repro.core.api import GRKernel
 from repro.core.partition import block_partition
 from repro.data.points import clustered_points
 from repro.device.work import WorkModel
@@ -109,14 +109,14 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def make_emit(config: KmeansConfig):
-    """The batched emit function: nearest-center assignment + accumulation."""
+    """The batched emit function: nearest center as key, ``[x, y, z, 1]`` as value."""
 
-    def emit_batch(obj, points: np.ndarray, start: int, centers: np.ndarray) -> None:
+    def emit_batch(points: np.ndarray, index: np.ndarray, centers: np.ndarray):
         keys = nearest_centers(points, centers)
         vals = np.empty((len(points), centers.shape[1] + 1))
         vals[:, :-1] = points
         vals[:, -1] = 1.0
-        emit_keys_batch(obj, keys, vals)
+        return keys, vals
 
     return emit_batch
 

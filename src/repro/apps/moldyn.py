@@ -147,17 +147,17 @@ def make_cf_kernel(node: NodeSpec, config: "MoldynConfig") -> IRKernel:
     )
 
 
-def ke_emit_batch(obj, nodes: np.ndarray, start: int, _param) -> None:
-    """KE kernel: accumulate 0.5*|v|^2 under a single key."""
+def ke_emit_batch(nodes: np.ndarray, index: np.ndarray, _param):
+    """KE kernel: emit 0.5*|v|^2 under a single key."""
     v = nodes[:, 3:6]
     ke = 0.5 * np.einsum("nd,nd->n", v, v)
-    obj.insert_many(np.zeros(len(nodes), dtype=np.int64), ke)
+    return np.zeros(len(nodes), dtype=np.int64), ke
 
 
-def av_emit_batch(obj, nodes: np.ndarray, start: int, _param) -> None:
-    """AV kernel: accumulate velocity sums + count under a single key."""
+def av_emit_batch(nodes: np.ndarray, index: np.ndarray, _param):
+    """AV kernel: emit velocity + a count under a single key."""
     vals = np.concatenate([nodes[:, 3:6], np.ones((len(nodes), 1))], axis=1)
-    obj.insert_many(np.zeros(len(nodes), dtype=np.int64), vals)
+    return np.zeros(len(nodes), dtype=np.int64), vals
 
 
 def make_ke_kernel() -> GRKernel:

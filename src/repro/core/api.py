@@ -4,10 +4,12 @@ The paper's API takes per-element C function pointers; in Python the fast
 path is *batched* user functions operating on NumPy slices.  Both styles
 are supported:
 
-- **Batched (recommended)**: ``emit_batch(obj, data, start, param)``
-  processes ``data`` (a chunk of input units) in one vectorized call and
-  inserts key/value arrays into the reduction object with
-  ``obj.insert_many``.
+- **Batched (recommended)**: ``emit_batch(data, index, param)`` maps a
+  batch of input units (``index`` holds their global indices) to one key
+  and one value row per unit in one vectorized call and returns them as
+  ``(keys, values)``.  The runtime owns the scatter into the reduction
+  object, so it may hand the kernel any batch of rows — it runs the math
+  once per cache-sized block of scheduled chunks.
 - **Per-element (paper-faithful)**: write ``emit(obj, data, index, param)``
   exactly as in Table I and wrap it with :func:`elementwise_emit`; the
   adapter loops (slow, but semantically identical — tests use it to verify
@@ -50,7 +52,7 @@ def resolve_op(op: str) -> tuple[np.ufunc, float]:
 # ---------------------------------------------------------------------------
 # Kernel specifications
 # ---------------------------------------------------------------------------
-EmitBatchFn = Callable[[Any, np.ndarray, int, Any], None]
+EmitBatchFn = Callable[[np.ndarray, np.ndarray, Any], tuple[np.ndarray, np.ndarray]]
 EdgeComputeBatchFn = Callable[[Any, np.ndarray, Any, np.ndarray, Any], None]
 StencilApplyFn = Callable[[np.ndarray, np.ndarray, tuple, Any], None]
 
@@ -60,8 +62,11 @@ class GRKernel:
     """A generalized-reduction kernel (paper: ``gr_emit_fp``/``gr_reduce_fp``).
 
     Attributes:
-        emit_batch: ``f(obj, data, start_index, parameter)`` — processes a
-            chunk of input units, inserting key/value pairs into ``obj``.
+        emit_batch: ``f(data, index, parameter) -> (keys, values)`` — maps
+            a batch of input units (``index``: their global indices) to
+            exactly one key and one value row per unit.  Each unit's
+            output may depend only on that unit, its index and
+            ``parameter``; keys outside ``[0, num_keys)`` are dropped.
         reduce_op: Name of the combining operation applied per key.
         num_keys: Size of the (dense) key space.
         value_width: Values per key (e.g. Kmeans: 3 coordinate sums + a
@@ -176,15 +181,14 @@ def shifted(arr: np.ndarray, region: tuple[slice, ...], offset: tuple[int, ...])
 def emit_keys_batch(obj: Any, keys: np.ndarray, values: np.ndarray) -> None:
     """Insert aligned ``keys``/``values`` arrays into a reduction object.
 
-    The vectorized dispatch path for emit kernels: one call replaces
-    ``len(keys)`` per-element ``obj.insert(k, v)`` calls.  ``values`` may
-    be ``(n,)`` (``value_width == 1``) or ``(n, value_width)``.  Duplicate
-    keys combine in input order (``np.bincount``/``np.ufunc.at``-style
-    unbuffered scatter under the hood), so inserting a batch into a fresh
-    object is bit-identical to the per-element loop — the compatibility
-    guarantee the :func:`elementwise_emit` adapter is tested against.
-    Out-of-range keys are dropped by the object's key-range filter, which
-    is how the paper's ownership rule stays enforced on the batched path.
+    The vectorized dispatch path for irregular-reduction edge kernels
+    (e.g. PageRank's ``contribution_batch``), which insert into the object
+    they are handed: one call replaces ``len(keys)`` per-element
+    ``obj.insert(k, v)`` calls.  ``values`` may be ``(n,)``
+    (``value_width == 1``) or ``(n, value_width)``.  Duplicate keys combine
+    in input order, bit-identically to the per-element loop; out-of-range
+    keys are dropped by the object's key-range filter, which is how the
+    paper's ownership rule stays enforced on the batched path.
     """
     obj.insert_many(keys, values)
 
@@ -192,16 +196,41 @@ def emit_keys_batch(obj: Any, keys: np.ndarray, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Per-element adapters (paper-faithful signatures)
 # ---------------------------------------------------------------------------
+class _UnitCollector:
+    """Stands in for the reduction object while one unit's emit runs."""
+
+    __slots__ = ("key", "value", "inserts")
+
+    def insert(self, key: int, value: Any) -> None:
+        self.key, self.value = key, value
+        self.inserts += 1
+
+
 def elementwise_emit(fn: Callable[[Any, np.ndarray, int, Any], None]) -> EmitBatchFn:
     """Wrap a paper-style per-unit emit function into a batch function.
 
     ``fn(obj, data, index, parameter)`` is called once per input unit with
-    the *global* index of the unit, exactly matching ``gr_emit_fp``.
+    the *global* index of the unit, exactly matching ``gr_emit_fp``.  The
+    ``obj`` it receives collects the unit's key/value pair and must get
+    exactly one ``obj.insert(key, value)`` per unit, because batch kernels
+    return one pair per unit; anything else raises ``ValidationError``.
     """
 
-    def emit_batch(obj: Any, data: np.ndarray, start: int, parameter: Any) -> None:
+    def emit_batch(data: np.ndarray, index: np.ndarray, parameter: Any):
+        keys = np.empty(len(data), dtype=np.int64)
+        values = []
+        unit = _UnitCollector()
         for i in range(len(data)):
-            fn(obj, data[i], start + i, parameter)
+            unit.inserts = 0
+            fn(unit, data[i], int(index[i]), parameter)
+            if unit.inserts != 1:
+                raise ValidationError(
+                    f"per-unit emit must insert exactly once per unit; "
+                    f"unit {int(index[i])} inserted {unit.inserts} times"
+                )
+            keys[i] = unit.key
+            values.append(unit.value)
+        return keys, np.asarray(values)
 
     return emit_batch
 

@@ -16,13 +16,22 @@ Execution flow of :meth:`GeneralizedReductionRuntime.start`:
    "parallel binary tree order" combine via ``comm.reduce`` (⌈log₂ n⌉
    rounds), optionally broadcasting the result back.
 
-The functional math and the virtual-time accounting run together: every
-chunk's ``emit_batch`` really executes, and its cost lands on the
-consuming worker's timeline.
+Schedule, then execute: the chunk is the unit a CPU core or GPU
+controller pulls from the queue, so it sets virtual time, but it need not
+be the unit the host math runs in.  :meth:`GeneralizedReductionRuntime.start`
+first runs the scheduler for virtual time only, recording each device's
+chunks in pull order.  Then, per device, it cuts that list into blocks of
+whole consecutive chunks of about :data:`BLOCK_ROWS` rows, gathers each
+block's rows, calls ``emit_batch`` once per block and folds the keys and
+values into the device's object with
+:meth:`~repro.core.reduction_object.DenseReductionObject.insert_chunks` —
+bit-identical to one insert per chunk, so every result and every makespan
+is the same as running the kernel chunk by chunk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 
 import numpy as np
@@ -34,7 +43,13 @@ from repro.core.scheduler import ChunkScheduler
 from repro.device.costmodel import reduction_fits_in_shared
 from repro.device.gpu import GPUDevice
 from repro.device.work import WorkModel, scaled
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
+
+
+#: Rows per kernel call.  Blocks are cache-sized: one call per device
+#: slice would materialise Kmeans' rows x centers score array (38 MB at
+#: 120k rows) and turn the math memory-bound; 1024-4096 all measured well.
+BLOCK_ROWS = 2048
 
 
 class GeneralizedReductionRuntime:
@@ -99,10 +114,9 @@ class GeneralizedReductionRuntime:
         ``emit(obj, input, index, parameter)`` is wrapped by
         :func:`~repro.core.api.elementwise_emit` unless ``batched=True``.
         With ``batched=True``, ``emit`` is already a batch function
-        ``emit(obj, data, start, parameter)`` covering a whole chunk —
-        typically ending in one :func:`~repro.core.api.emit_keys_batch`
-        call, which is bit-identical to the per-element loop but avoids
-        the Python-level dispatch per input unit.
+        ``emit(data, index, parameter) -> (keys, values)`` returning one
+        key and one value row per input unit, which avoids the
+        Python-level dispatch per input unit.
         """
         emit_batch = emit if batched else elementwise_emit(emit)
         self.set_kernel(
@@ -121,14 +135,7 @@ class GeneralizedReductionRuntime:
         if self._kernel is None:
             raise ConfigurationError("set a kernel before set_reduc_func")
         resolve_op(reduce_op)
-        self._kernel = GRKernel(
-            emit_batch=self._kernel.emit_batch,
-            reduce_op=reduce_op,
-            num_keys=self._kernel.num_keys,
-            value_width=self._kernel.value_width,
-            work=self._kernel.work,
-            dtype=self._kernel.dtype,
-        )
+        self._kernel = dataclasses.replace(self._kernel, reduce_op=reduce_op)
 
     def set_input(
         self,
@@ -191,21 +198,9 @@ class GeneralizedReductionRuntime:
         time_scale = scaled(n_local, self._model_local)
         chunk_elems = self.chunk_elems or max(16, n_local // 512)
 
-        # One private reduction object per device (the CPU object stands
-        # for the per-core private objects, merged at chunk granularity —
-        # their combine cost is part of CPU_PRIVATE_INSERT_COST).
-        objs: dict[str, DenseReductionObject] = {}
-        for dev in env.devices:
-            objs[dev.name] = DenseReductionObject(
-                kernel.num_keys, kernel.value_width, kernel.reduce_op, kernel.dtype
-            )
-
-        def exec_chunk(device, start_elem: int, n: int) -> None:
-            chunk = self._data[start_elem : start_elem + n]
-            kernel.emit_batch(
-                objs[device.name], chunk, self._global_start + start_elem, self._parameter
-            )
-
+        # Schedule: virtual time only, recording each device's chunks in
+        # pull order.
+        chunks: dict[str, list[tuple[int, int]]] = {dev.name: [] for dev in env.devices}
         scheduler = ChunkScheduler(
             env.devices,
             localized=localized,
@@ -218,10 +213,16 @@ class GeneralizedReductionRuntime:
             chunk_elems,
             start=t0,
             time_scale=time_scale,
-            exec_fn=exec_chunk,
+            exec_fn=lambda dev, start, n: chunks[dev.name].append((start, n)),
             gpu_chunk_multiplier=self.gpu_chunk_multiplier,
         )
         self.last_schedule = report
+
+        # Execute: one private reduction object per device (the CPU object
+        # stands for the per-core private objects, merged at chunk
+        # granularity — their combine cost is part of
+        # CPU_PRIVATE_INSERT_COST), filled one block of chunks at a time.
+        objs = {dev.name: self._execute(chunks[dev.name]) for dev in env.devices}
 
         # Local merge: GPU objects come back over PCIe, then host combines.
         merged: DenseReductionObject | None = None
@@ -252,6 +253,33 @@ class GeneralizedReductionRuntime:
                 env.trace.count(f"gr.elems[{w.device.name}]", w.elems)
             env.trace.count("gr.inserts", float(sum(o.n_inserts for o in objs.values())))
             env.trace.gauge("gr.load_imbalance", report.load_imbalance())
+
+    def _execute(self, chunks: list[tuple[int, int]]) -> DenseReductionObject:
+        """Fold one device's chunks, in pull order, into a fresh object."""
+        kernel = self._kernel
+        obj = DenseReductionObject(
+            kernel.num_keys, kernel.value_width, kernel.reduce_op, kernel.dtype
+        )
+        if not chunks:
+            return obj
+        starts, sizes = (np.array(c, dtype=np.intp) for c in zip(*chunks))
+        ends = np.cumsum(sizes)
+        rows = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
+        # Whole chunks whose last row falls in the same BLOCK_ROWS window
+        # share a block.
+        cuts = np.flatnonzero(np.diff((ends - 1) // BLOCK_ROWS)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(sizes)]):
+            idx = rows[ends[lo] - sizes[lo] : ends[hi - 1]]
+            keys, values = kernel.emit_batch(
+                np.take(self._data, idx, axis=0), idx + self._global_start, self._parameter
+            )
+            if len(keys) != len(idx):
+                raise ValidationError(
+                    f"emit_batch must return one key per input row: "
+                    f"got {len(keys)} keys for {len(idx)} rows"
+                )
+            obj.insert_chunks(keys, values, sizes[lo:hi])
+        return obj
 
     # -- results -----------------------------------------------------------
     def get_local_reduction(self) -> DenseReductionObject:

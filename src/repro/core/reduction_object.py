@@ -42,6 +42,11 @@ from repro.core.api import resolve_op
 from repro.util.errors import ValidationError
 
 
+#: Most (chunk, key, column) partials one ``insert_chunks`` fold holds at
+#: once (8 MB of float64); wider folds run over groups of whole chunks.
+_MAX_FOLD_BINS = 1 << 20
+
+
 class ScatterPlan:
     """Precomputed scatter layout for one fixed key array.
 
@@ -260,15 +265,7 @@ class DenseReductionObject:
         object is bit-identical to the per-element loop.  ``values`` may
         be ``(n,)`` when ``value_width == 1`` or ``(n, value_width)``.
         """
-        keys = np.asarray(keys)
-        values = np.asarray(values, dtype=self.dtype)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape != (len(keys), self.value_width):
-            raise ValidationError(
-                f"values shape {values.shape} does not match "
-                f"({len(keys)}, {self.value_width})"
-            )
+        keys, values = self._pairs(keys, values)
         self.n_inserts += len(keys)
         if self._plans:
             plan = self._plans.get(_keys_token(keys))
@@ -286,6 +283,73 @@ class DenseReductionObject:
             self._scatter_sum(keys - self.key_lo, values)
         else:
             self._ufunc.at(self.values, keys - self.key_lo, values)
+
+    def insert_chunks(self, keys: np.ndarray, values: np.ndarray, sizes) -> None:
+        """Insert consecutive chunks of one batch, as one ``insert_many`` each.
+
+        ``sizes`` splits ``keys``/``values`` into consecutive chunks; the
+        result, ``n_inserts`` and ``n_dropped`` are bit-identical to calling
+        ``insert_many`` on each chunk in order.  Float64 sums take one 2-D
+        ``np.bincount`` over (chunk, key, column) bins — each bin still
+        accumulates its chunk's values in input order from ``0.0`` — then
+        fold the running values into chunk 0 and ``np.add.accumulate``
+        along the chunk axis, which repeats the per-chunk
+        ``values += bincount(chunk)`` additions exactly.  A chunk with no
+        in-range key adds an all-zero row there instead of being skipped;
+        that leaves every value unchanged, because sums starting from the
+        ``+0.0`` identity never produce ``-0.0``.  Every other op takes one
+        ``insert_many``: ``ufunc.at`` is unbuffered and applies in index
+        order, which is the per-chunk sequence.  (Which operand's payload a
+        NaN result carries is left to NumPy's loops either way.)
+        """
+        keys, values = self._pairs(keys, values)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if int(sizes.sum()) != len(keys) or (sizes < 0).any():
+            raise ValidationError(
+                f"chunk sizes must be >= 0 and sum to {len(keys)} keys, got {sizes.sum()}"
+            )
+        if not self._fast_sum:
+            self.insert_many(keys, values)
+            return
+        bins = self.num_keys * self.value_width
+        if len(sizes) * bins > _MAX_FOLD_BINS and len(sizes) > 1:
+            # Bound the (chunk, bin) partials of wide key spaces: fold
+            # groups of whole chunks, in order.
+            step = max(1, _MAX_FOLD_BINS // bins)
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            for lo in range(0, len(sizes), step):
+                hi = min(lo + step, len(sizes))
+                rows = slice(bounds[lo], bounds[hi])
+                self.insert_chunks(keys[rows], values[rows], sizes[lo:hi])
+            return
+        self.n_inserts += len(keys)
+        chunk = np.repeat(np.arange(len(sizes)), sizes)
+        mask = (keys >= self.key_lo) & (keys < self.key_hi)
+        if not mask.all():
+            self.n_dropped += int((~mask).sum())
+            keys, values, chunk = keys[mask], values[mask], chunk[mask]
+        if not len(keys):
+            return
+        flat = (chunk * self.num_keys + (keys - self.key_lo))[:, None] * self.value_width
+        flat = (flat + self._cols).ravel()
+        partial = np.bincount(flat, weights=values.ravel(), minlength=len(sizes) * bins)
+        partial = partial.reshape(len(sizes), bins)
+        partial[0] += self.values.ravel()
+        np.add.accumulate(partial, axis=0, out=partial)
+        self.values[...] = partial[-1].reshape(self.values.shape)
+
+    def _pairs(self, keys, values) -> tuple[np.ndarray, np.ndarray]:
+        """``keys`` and ``values`` as arrays, ``values`` shaped ``(n, value_width)``."""
+        keys = np.asarray(keys)
+        values = np.asarray(values, dtype=self.dtype)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.shape != (len(keys), self.value_width):
+            raise ValidationError(
+                f"values shape {values.shape} does not match "
+                f"({len(keys)}, {self.value_width})"
+            )
+        return keys, values
 
     def _scatter_sum(self, idx: np.ndarray, values: np.ndarray) -> None:
         """Input-order bincount scatter-add; one pass for any width.
@@ -346,7 +410,8 @@ class DenseReductionObject:
                 f"(got [{other.key_lo},{other.key_hi})x{other.value_width}/{other.op} vs "
                 f"[{self.key_lo},{self.key_hi})x{self.value_width}/{self.op})"
             )
-        self.values = self._ufunc(self.values, other.values)
+        # In place, so an object tiling a shared ``storage`` stays attached.
+        self._ufunc(self.values, other.values, out=self.values)
 
     def as_array(self) -> np.ndarray:
         """The ``(num_keys, value_width)`` result array (a live view)."""

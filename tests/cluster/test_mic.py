@@ -41,9 +41,9 @@ def test_generalized_reduction_on_mic_cluster():
     work = WorkModel(name="h", flops_per_elem=20, bytes_per_elem=16,
                      atomics_per_elem=1, num_reduction_keys=K)
 
-    def emit(obj, chunk, start, param):
+    def emit(chunk, index, param):
         keys = np.minimum((chunk[:, 0] * K).astype(int), K - 1)
-        obj.insert_many(keys, np.ones(len(chunk)))
+        return keys, np.ones(len(chunk))
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu+1gpu")  # the "accelerator" is the Phi
@@ -98,8 +98,8 @@ def test_mic_offload_faster_than_host_for_wide_kernels():
                      atomics_per_elem=1, num_reduction_keys=4,
                      transfer_bytes_per_elem=16)
 
-    def emit(obj, chunk, start, param):
-        obj.insert_many(np.zeros(len(chunk), dtype=np.int64), chunk[:, 0])
+    def emit(chunk, index, param):
+        return np.zeros(len(chunk), dtype=np.int64), chunk[:, 0]
 
     def prog(ctx, mix):
         env = RuntimeEnv(ctx, mix)

@@ -54,12 +54,24 @@ def test_elementwise_emit_equals_batch():
 
     batch = elementwise_emit(emit)
     data = np.random.default_rng(0).random((20, 1))
+    keys, values = batch(data, np.arange(100, 120), 0.5)
+    assert keys.shape == (20,) and values.shape == (20,)
     a = DenseReductionObject(4, 1, "sum")
-    batch(a, data, 100, 0.5)
+    a.insert_many(keys, values)
     b = DenseReductionObject(4, 1, "sum")
     for i in range(20):
         emit(b, data[i], 100 + i, 0.5)
     np.testing.assert_allclose(a.values, b.values)
+
+
+@pytest.mark.parametrize("inserts", [0, 2])
+def test_elementwise_emit_requires_one_insert_per_unit(inserts):
+    def emit(obj, unit, index, param):
+        for _ in range(inserts):
+            obj.insert(0, 1.0)
+
+    with pytest.raises(ValidationError, match=f"unit 7 inserted {inserts} times"):
+        elementwise_emit(emit)(np.ones((3, 1)), np.arange(7, 10), None)
 
 
 def test_elementwise_edge_compute_equals_batch():

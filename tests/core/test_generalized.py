@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.api import GRKernel
 from repro.core.env import RuntimeEnv
+from repro.core.generalized import BLOCK_ROWS
 from repro.core.partition import block_partition
 from repro.device.work import WorkModel
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ValidationError
 from tests.conftest import run_spmd
 
 K = 8
@@ -18,10 +19,10 @@ RNG = np.random.default_rng(11)
 DATA = RNG.random((6000, 3))
 
 
-def _emit(obj, data, start, param):
+def _emit(data, index, param):
     keys = np.minimum((data[:, 0] * K).astype(int), K - 1)
     vals = np.concatenate([data, np.ones((len(data), 1))], axis=1)
-    obj.insert_many(keys, vals)
+    return keys, vals
 
 
 def _kernel():
@@ -62,6 +63,42 @@ def test_correct_across_device_mixes(mix):
     np.testing.assert_allclose(res.values[0], _reference(), rtol=1e-12)
 
 
+def test_kernel_runs_once_per_block_of_whole_chunks():
+    """Chunks set virtual time; the math runs once per BLOCK_ROWS window."""
+    calls = []
+
+    def emit(data, index, param):
+        calls.append((int(index[0]), len(data)))
+        return _emit(data, index, param)
+
+    def prog(ctx):
+        gr = RuntimeEnv(ctx, "cpu").get_GR(chunk_elems=16)
+        gr.set_kernel(GRKernel(emit, "sum", K, 4, WORK))
+        gr.set_input(DATA, global_start=100)
+        gr.start()
+        return sum(w.chunks for w in gr.last_schedule.workers), gr.get_local_reduction().values
+
+    chunks, got = run_spmd(prog, nodes=1).values[0]
+    assert chunks == 375
+    assert calls == [(100, BLOCK_ROWS), (100 + BLOCK_ROWS, BLOCK_ROWS), (100 + 2 * BLOCK_ROWS, 1904)]
+    np.testing.assert_allclose(got, _reference(), rtol=1e-12)
+
+
+def test_kernel_must_return_one_pair_per_row():
+    def short(data, index, param):
+        keys, vals = _emit(data, index, param)
+        return keys[:-1], vals[:-1]
+
+    def prog(ctx):
+        gr = RuntimeEnv(ctx, "cpu").get_GR()
+        gr.set_kernel(GRKernel(short, "sum", K, 4, WORK))
+        gr.set_input(DATA[:100])
+        gr.start()
+
+    with pytest.raises(ValidationError, match="one key per input row"):
+        run_spmd(prog, nodes=1)
+
+
 def test_bcast_false_returns_only_at_root():
     res = run_spmd(_program(bcast=False), nodes=3, gpus_per_node=2)
     np.testing.assert_allclose(res.values[0], _reference())
@@ -98,11 +135,11 @@ def test_paper_style_elementwise_emit():
 def test_runtime_reuse_with_new_kernel():
     """The paper's Moldyn reuses one GR runtime for its KE and AV kernels."""
 
-    def sum_emit(obj, data, start, param):
-        obj.insert_many(np.zeros(len(data), dtype=np.int64), data[:, 0])
+    def sum_emit(data, index, param):
+        return np.zeros(len(data), dtype=np.int64), data[:, 0]
 
-    def max_emit(obj, data, start, param):
-        obj.insert_many(np.zeros(len(data), dtype=np.int64), data[:, 0])
+    def max_emit(data, index, param):
+        return np.zeros(len(data), dtype=np.int64), data[:, 0]
 
     def prog(ctx):
         env = RuntimeEnv(ctx, "cpu")
@@ -129,7 +166,7 @@ def test_set_reduc_func_changes_op():
         gr = env.get_GR()
         gr.set_kernel(
             GRKernel(
-                lambda obj, d, s, p: obj.insert_many(np.zeros(len(d), dtype=np.int64), d[:, 0]),
+                lambda d, index, p: (np.zeros(len(d), dtype=np.int64), d[:, 0]),
                 "sum", 1, 1, WORK.replace(num_reduction_keys=1),
             )
         )

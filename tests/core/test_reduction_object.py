@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reduction_object import DenseReductionObject, HashReductionObject
@@ -337,3 +337,92 @@ def test_storage_shape_and_dtype_validation():
         DenseReductionObject(3, 2, "sum", storage=np.zeros((3, 1)))
     with pytest.raises(ValidationError):
         DenseReductionObject(3, 2, "sum", storage=np.zeros((3, 2), dtype=np.float32))
+
+
+def test_merge_keeps_external_storage_attached():
+    """Merging into a storage-backed object must write through to the storage."""
+    buf = np.full((4, 1), np.nan)
+    a = DenseReductionObject(4, 1, "sum", storage=buf)
+    b = DenseReductionObject(4, 1, "sum")
+    b.insert(1, 3.0)
+    b.insert(2, 4.0)
+    a.merge(b)
+    assert a.values is buf
+    np.testing.assert_array_equal(buf[:, 0], [0.0, 3.0, 4.0, 0.0])
+
+
+# -- insert_chunks: one fold, bit-identical to one insert_many per chunk -------
+
+
+def _bits(values):
+    """The array's bytes, with every NaN made one NaN: NumPy's SIMD loops do
+    not fix which operand's NaN payload an addition propagates."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def _insert_per_chunk(obj, keys, values, sizes):
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        obj.insert_many(keys[lo:hi], values[lo:hi])
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    op=st.sampled_from(["sum", "min", "max", "prod"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    width=st.sampled_from([1, 4]),
+    sizes=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+    prior=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_insert_chunks_equals_insert_many_per_chunk(op, dtype, width, sizes, prior, seed, data):
+    """Keys reach past both ends of ``[key_lo, key_hi)``; values span
+    magnitudes, so a reassociated sum rounds differently, and include
+    drawn signed zeros, infinities and NaN; ``prior`` starts from a used
+    object."""
+    n = sum(sizes)
+    rng = np.random.default_rng(seed)
+    keys = np.array(data.draw(st.lists(st.integers(-1, 7), min_size=n, max_size=n)), dtype=int)
+    values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 7, size=(n, 1))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, width - 1))
+    for (i, j), special in data.draw(st.lists(st.tuples(cells, st.sampled_from(SPECIALS)), max_size=4 if n else 0)):
+        values[i, j] = special
+    if width == 1 and data.draw(st.booleans()):
+        values = values[:, 0]  # the (n,) form
+    chunked = DenseReductionObject(6, width, op, dtype, key_lo=1)
+    looped = DenseReductionObject(6, width, op, dtype, key_lo=1)
+    if prior:
+        seen = rng.standard_normal((6, width)) * 100.0
+        for obj in (chunked, looped):
+            obj.insert_many(np.arange(1, 7), seen)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, float32 overflow
+        chunked.insert_chunks(keys, values, sizes)
+        _insert_per_chunk(looped, keys, values, sizes)
+    assert _bits(chunked.values) == _bits(looped.values)
+    assert (chunked.n_inserts, chunked.n_dropped) == (looped.n_inserts, looped.n_dropped)
+
+
+def test_insert_chunks_folds_wide_key_spaces_in_groups():
+    """Past the fold's bin budget, groups of whole chunks fold in order."""
+    rng = np.random.default_rng(3)
+    sizes = [40, 0, 25, 40, 31, 40, 7]
+    keys = rng.integers(-5, 400_005, size=sum(sizes))
+    values = rng.standard_normal((sum(sizes), 2))
+    chunked = DenseReductionObject(400_000, 2, "sum")
+    looped = DenseReductionObject(400_000, 2, "sum")
+    chunked.insert_chunks(keys, values, sizes)
+    _insert_per_chunk(looped, keys, values, sizes)
+    assert chunked.values.tobytes() == looped.values.tobytes()
+    assert (chunked.n_inserts, chunked.n_dropped) == (looped.n_inserts, looped.n_dropped)
+
+
+def test_insert_chunks_validates_sizes():
+    obj = DenseReductionObject(4, 1, "sum")
+    with pytest.raises(ValidationError, match="sum to 3"):
+        obj.insert_chunks(np.arange(3), np.ones(3), [1, 1])
+    with pytest.raises(ValidationError, match="sum to 3"):
+        obj.insert_chunks(np.arange(3), np.ones(3), [4, -1])

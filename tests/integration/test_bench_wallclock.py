@@ -150,7 +150,9 @@ def test_time_block_makespans_replay(pinned):
 
 
 def test_kmeans_emit_checksum_replay(pinned):
-    """The batched emit kernel over the chunk sizes the GR runtime schedules."""
+    """The batched emit kernel over the chunk sizes the GR runtime schedules,
+    run once per block of whole chunks and folded chunk by chunk."""
+    from repro.core.generalized import BLOCK_ROWS
     from repro.core.reduction_object import DenseReductionObject
     from repro.data.points import clustered_points
 
@@ -159,9 +161,12 @@ def test_kmeans_emit_checksum_replay(pinned):
     centers = points[: config.k].astype(np.float64)
     emit = kmeans.make_emit(config)
     chunk = max(16, len(points) // 512)
+    block = max(1, BLOCK_ROWS // chunk) * chunk
     obj = DenseReductionObject(config.k, config.dims + 1, "sum", np.float64)
-    for start in range(0, len(points), chunk):
-        emit(obj, points[start : start + chunk], start, centers)
+    for start in range(0, len(points), block):
+        rows = points[start : start + block]
+        sizes = np.diff(np.r_[0 : len(rows) : chunk, len(rows)])
+        obj.insert_chunks(*emit(rows, np.arange(start, start + len(rows)), centers), sizes)
     _assert_pinned({"kmeans_emit": {"checksum": float(np.sum(obj.as_array()))}}, pinned)
 
 

@@ -16,7 +16,7 @@ WORK = WorkModel(name="w", flops_per_elem=4, bytes_per_elem=8)
 def test_kernel_exception_propagates_from_runtime():
     """A user emit function that raises must surface, not hang the fleet."""
 
-    def bad_emit(obj, data, start, param):
+    def bad_emit(data, index, param):
         raise ZeroDivisionError("user bug in emit")
 
     def prog(ctx):

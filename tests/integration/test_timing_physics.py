@@ -116,10 +116,8 @@ def test_gr_localization_off_costs_scale_with_key_count():
             atomics_per_elem=1, num_reduction_keys=num_keys,
         )
 
-        def emit(obj, chunk, start, p):
-            obj.insert_many(
-                (chunk[:, 0] * num_keys).astype(int) % num_keys, np.ones(len(chunk))
-            )
+        def emit(chunk, index, p):
+            return (chunk[:, 0] * num_keys).astype(int) % num_keys, np.ones(len(chunk))
 
         def prog(ctx):
             env = RuntimeEnv(ctx, "1gpu")
